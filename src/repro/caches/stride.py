@@ -89,14 +89,7 @@ class StridePrefetchingCache(PrefetchingCache):
     def _issue_prefetch(self, missed_line_no: int, now: int) -> None:
         predicted = self.detector.observe(missed_line_no)
         target = predicted if predicted is not None else missed_line_no + 1
-        target_addr = self.cache.line_addr(target)
-        if target < 0 or self.cache.probe(target_addr) or target in self.buffer:
-            return
-        values, latency = self.cache.downstream.supply_prefetch(
-            target_addr, self.cache.line_words, now
-        )
-        self.buffer.insert(target, values, ready_cycle=now + latency)
-        self.stats.prefetches_issued += 1
-        self.stats.extra["stride_prefetches"] = self.stats.extra.get(
-            "stride_prefetches", 0
-        ) + (1 if predicted is not None else 0)
+        if target >= 0 and self._prefetch(target, now):
+            self.stats.extra["stride_prefetches"] = self.stats.extra.get(
+                "stride_prefetches", 0
+            ) + (1 if predicted is not None else 0)

@@ -507,9 +507,12 @@ class ReferencePrefetchingCache:
         target_addr = self.cache.line_addr(target)
         if self.cache.probe(target_addr) or target in self.buffer:
             return
-        values, latency = self.cache.downstream.supply_prefetch(
-            target_addr, self.cache.line_words, now
-        )
+        try:
+            values, latency = self.cache.downstream.supply_prefetch(
+                target_addr, self.cache.line_words, now
+            )
+        except UnmappedAddressError:
+            return  # the next line does not exist: nothing to prefetch
         self.buffer.insert(target, values, now + latency)
         self.stats.prefetches_issued += 1
 

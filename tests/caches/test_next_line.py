@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.caches.base import Cache
+from repro.caches.hierarchy import build_hierarchy
 from repro.caches.interface import MemoryPort
 from repro.caches.next_line import PrefetchingCache
+from repro.check.reference import build_reference_hierarchy
 from repro.errors import ConfigurationError
 from repro.memory.bus import TrafficKind
 from repro.memory.image import MemoryImage
@@ -68,6 +70,35 @@ class TestPrefetchOnMiss:
         pc.access(BASE, write=False, now=200)  # target line 1 already cached
         assert pc.stats.prefetches_issued == 1  # line 1 prefetch suppressed
         assert pc.cache.line_no(BASE) + 1 not in pc.buffer
+
+
+@pytest.mark.parametrize(
+    "config,builder",
+    [
+        ("BCP", build_hierarchy),
+        ("BCP", build_reference_hierarchy),
+        ("BSP", build_hierarchy),
+    ],
+    ids=["BCP-real", "BCP-reference", "BSP-real"],
+)
+@pytest.mark.parametrize(
+    "strict,addr",
+    # The next line lies past the 32-bit space / past a strict image
+    # that maps only page 0.
+    [(False, 0xFFFF_FFFC), (True, 0xFFC)],
+    ids=["top-of-address-space", "strict-image-edge"],
+)
+def test_prefetch_of_a_nonexistent_line_is_dropped(config, builder, strict, addr):
+    """The demand load is served as without a prefetcher; nothing issues."""
+    mem = MainMemory(MemoryImage(strict=strict), latency=100)
+    mem.poke_word(addr, 0xBEEF)
+    hier = builder(config, mem)
+    result = hier.load(addr)
+    assert (result.served_by, result.value) == ("memory", 0xBEEF)
+    for level in (hier.l1, hier.l2):
+        assert level.stats.prefetches_issued == 0
+        assert level.cache.line_no(addr) + 1 not in level.buffer
+    assert mem.bus.prefetch_words == 0
 
 
 class TestDataCorrectness:
