@@ -22,6 +22,7 @@ from repro.caches.interface import (
     CODE_OF_SERVED,
     FetchResponse,
     LineSource,
+    SERVED_CODE_BITS,
 )
 from repro.caches.line import CacheLine
 from repro.caches.stats import CacheStats
@@ -230,7 +231,7 @@ class Cache:
     # ---- word-ops (fast backend) --------------------------------------------------
 
     def load_word(self, addr: int, now: int = 0) -> int:
-        """Word load returning ``latency << 3 | code`` (see interface).
+        """Word load returning ``latency << SERVED_CODE_BITS | code``.
 
         The MRU-hit path returns code 0 *without* touching stats — the
         caller tallies those hits and flushes ``accesses``/``hits`` in
@@ -241,9 +242,9 @@ class Cache:
         line_no = addr >> self.line_shift
         line = self._sets[line_no & self.set_mask][0]
         if line.line_no == line_no and line.valid:
-            return self.hit_latency << 3
+            return self.hit_latency << SERVED_CODE_BITS
         result = self.access(addr, False, None, now)
-        return (result.latency << 3) | CODE_OF_SERVED[result.served_by]
+        return (result.latency << SERVED_CODE_BITS) | CODE_OF_SERVED[result.served_by]
 
     def store_word(self, addr: int, value: int, now: int = 0) -> bool:
         """Word store; True = uncounted MRU hit (caller batches stats)."""

@@ -44,6 +44,7 @@ from repro.caches.interface import (
     FetchResponse,
     LineSource,
     MemoryPort,
+    SERVED_CODE_BITS,
 )
 from repro.caches.stats import CacheStats
 from repro.check.runtime import runtime_checks_enabled
@@ -639,7 +640,7 @@ class CompressionCache:
     # ---- word-ops (fast backend) --------------------------------------------------
 
     def load_word(self, addr: int, now: int = 0) -> int:
-        """Word load returning ``latency << 3 | code`` (see interface).
+        """Word load returning ``latency << SERVED_CODE_BITS | code``.
 
         Code 0 is an *uncounted* MRU primary-word hit — the caller
         batches ``accesses``/``hits``; anything else goes through
@@ -649,9 +650,9 @@ class CompressionCache:
         ln = addr >> self.line_shift
         frame = self._sets[ln & self.set_mask][0]
         if frame.line_no == ln and (frame.pa >> ((addr >> 2) & (self.line_words - 1))) & 1:
-            return self.hit_latency << 3
+            return self.hit_latency << SERVED_CODE_BITS
         result = self.access(addr, False, None, now)
-        return (result.latency << 3) | CODE_OF_SERVED[result.served_by]
+        return (result.latency << SERVED_CODE_BITS) | CODE_OF_SERVED[result.served_by]
 
     def store_word(self, addr: int, value: int, now: int = 0) -> bool:
         """Word store; True = uncounted MRU hit (caller batches stats)."""

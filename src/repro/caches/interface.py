@@ -46,26 +46,34 @@ __all__ = [
     "LineSource",
     "MemoryPort",
     "SERVED_BY_CODES",
+    "SERVED_CODE_BITS",
 ]
 
-#: Packed word-op result codes -> ``served_by`` labels. The fast
+#: Width of the code field of a packed word-op result. The fast
 #: backend's L1 word-ops (``load_word``/``store_word``) return
-#: ``latency << 3 | code`` instead of allocating an
-#: :class:`AccessResult`; code 0 is the *uncounted* inline MRU hit (the
-#: caller batches the stats), the remaining codes come from the regular
-#: ``access()`` path and are already counted.
+#: ``latency << SERVED_CODE_BITS | code`` instead of allocating an
+#: :class:`AccessResult`; the compiled kernel decodes the same layout.
+SERVED_CODE_BITS = 4
+
+#: Packed word-op result codes -> ``served_by`` labels. Code 0 is the
+#: *uncounted* inline MRU hit (the caller batches the stats); the
+#: remaining codes come from the regular ``access()`` path and are
+#: already counted.
 SERVED_BY_CODES = (
     "l1",
     "l1",
     "l1-affiliated",
     "l1-buffer",
+    "l1-buffer-late",
     "l2",
     "l2-affiliated",
     "l2-buffer",
+    "l2-buffer-late",
     "memory",
 )
+assert len(SERVED_BY_CODES) <= 1 << SERVED_CODE_BITS
 
-#: ``served_by`` label -> packed word-op code (codes 1..7).
+#: ``served_by`` label -> packed word-op code (codes 1 and up).
 CODE_OF_SERVED = {name: i for i, name in enumerate(SERVED_BY_CODES) if i}
 
 

@@ -1,9 +1,9 @@
 """Trace pre-decode: structure-of-arrays lowered once per program.
 
-The fast backend (:mod:`repro.cpu.fastcore`) replaces the reference
-core's per-dispatch bookkeeping — register-producer maps, consumer
-lists, per-address store lists — with flat arrays precomputed here, all
-pure functions of the trace:
+The fast backend's compiled kernel (:mod:`repro.cpu.ckernel`) replaces
+the reference core's per-dispatch bookkeeping — register-producer maps,
+consumer lists, per-address store lists — with flat arrays precomputed
+here, all pure functions of the trace:
 
 * ``dep1``/``dep2`` — index of the instruction producing each source
   operand (the *last writer* of that register), or -1. At dispatch time
@@ -59,10 +59,6 @@ class Predecoded:
         "fwd",
         "slot",
         "bp",
-        "next_mp",
-        "issue_rows",
-        "disp_rows",
-        "kind",
         "c_cols",
         "c_bp",
     )
@@ -87,14 +83,6 @@ class Predecoded:
         #: table size -> (mispredict flags, n_branches, n_mispredicts),
         #: filled lazily per predictor geometry.
         self.bp: dict[int, tuple[list[bool], int, int]] = {}
-        #: table size -> next-mispredict index array (fast-core fetch).
-        self.next_mp: dict[int, list[int]] = {}
-        #: Per-stage row tuples and the load/store kind column, built
-        #: lazily by the fast core and reused across runs of the same
-        #: trace (never persisted — cheap to rebuild).
-        self.issue_rows: list[tuple] | None = None
-        self.disp_rows: list[tuple] | None = None
-        self.kind: bytes | None = None
         #: Contiguous array views for the compiled kernel (lazy):
         #: column name -> ndarray, and predictor geometry ->
         #: (mispredict flags, next-mispredict index) array pair.

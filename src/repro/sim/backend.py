@@ -5,13 +5,16 @@ Two backends execute a program on a hierarchy:
 * ``reference`` — the pure-python cycle loop in
   :class:`repro.cpu.pipeline.OutOfOrderCore`. Always available, always
   correct; every other backend is defined by bit-identicality to it.
-* ``fast`` — :class:`repro.cpu.fastcore.FastCore`: flat-array pipeline
-  state over pre-decoded traces (:mod:`repro.isa.predecode`), an
-  event-driven clock, and O(1) compressibility probes against a
-  whole-image table (:mod:`repro.compression.comptable`). Replays the
-  golden cells bit-for-bit and falls back to ``reference`` whenever an
-  observation hook (tracing, fault injection, load verification, a warm
-  predictor, the i-cache model) needs the fully general loop.
+* ``fast`` — :class:`repro.cpu.fastcore.FastCore`: the compiled C core
+  loop (:mod:`repro.cpu.ckernel`) over pre-decoded traces
+  (:mod:`repro.isa.predecode`), with an event-driven clock and O(1)
+  compressibility probes against a whole-image table
+  (:mod:`repro.compression.comptable`). Replays the golden cells
+  bit-for-bit and runs ``reference`` instead whenever the kernel cannot
+  run a cell faithfully: no C compiler, an observation hook (tracing,
+  fault injection, ``REPRO_CHECK`` audits, load verification, a warm
+  predictor, the i-cache model), or an L1 without word-ops (the BSP and
+  BVC extension configurations).
 
 Selection precedence: an explicit ``SimConfig.backend`` beats the
 ``REPRO_BACKEND`` environment variable, which beats the default
