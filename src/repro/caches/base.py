@@ -27,7 +27,6 @@ from repro.caches.interface import (
 from repro.caches.line import CacheLine
 from repro.caches.stats import CacheStats
 from repro.errors import CacheProtocolError, ConfigurationError
-from repro.inject import hooks as _inject
 from repro.memory.bus import TrafficKind
 from repro.memory.image import WORD_BYTES
 from repro.obs import tracer as _trace
@@ -137,8 +136,6 @@ class Cache:
         misses here is forwarded down rather than allocated. Returns
         ``(values, latency)``.
         """
-        if _inject.ACTIVE:
-            _inject.SESSION.before_serve(self, addr, None)
         line_no = self.line_no(addr)
         offset = (addr >> 2) & (self.line_words - 1)
         data = self.peek_line(line_no)
@@ -151,16 +148,13 @@ class Cache:
         """Evict the LRU way of the set (writing back if dirty)."""
         ways = self._sets[set_idx]
         victim = ways[-1]
-        if victim.valid:
-            if _inject.ACTIVE:
-                _inject.SESSION.before_evict(self, victim)
-            if victim.dirty:
-                self.stats.writebacks += 1
-                self.downstream.write_back(
-                    self.line_addr(victim.line_no),
-                    victim.data,
-                    self.full_mask,
-                )
+        if victim.valid and victim.dirty:
+            self.stats.writebacks += 1
+            self.downstream.write_back(
+                self.line_addr(victim.line_no),
+                victim.data,
+                self.full_mask,
+            )
         victim.invalidate()
         return victim
 
@@ -179,8 +173,6 @@ class Cache:
         self, addr: int, write: bool = False, value: int | None = None, now: int = 0
     ) -> AccessResult:
         """One word-sized CPU access; returns latency and serving level."""
-        if _inject.ACTIVE:
-            _inject.SESSION.before_access(self, addr, write)
         line_no = addr >> self.line_shift
         widx = (addr >> 2) & (self.line_words - 1)
         # Fast path: the MRU way; fall back to the LRU-updating scan.
@@ -237,7 +229,7 @@ class Cache:
         caller tallies those hits and flushes ``accesses``/``hits`` in
         one batch; every other outcome delegates to :meth:`access`,
         which counts normally. Callers must ensure no observation hook
-        (tracing, injection, runtime audits) is active.
+        (tracing, runtime audits) is active.
         """
         line_no = addr >> self.line_shift
         line = self._sets[line_no & self.set_mask][0]
@@ -285,8 +277,6 @@ class Cache:
             raise CacheProtocolError(f"unaligned fetch at {addr:#x}")
         line_no = self.line_no(addr)
         offset = (addr >> 2) & (self.line_words - 1)  # word offset inside my line
-        if _inject.ACTIVE:
-            _inject.SESSION.before_serve(self, addr, pair_addr)
         line = self._find(line_no)
         if line is not None:
             if record:
@@ -366,14 +356,11 @@ class Cache:
         """Write back all dirty lines and invalidate everything."""
         for ways in self._sets:
             for line in ways:
-                if line.valid:
-                    if _inject.ACTIVE:
-                        _inject.SESSION.before_evict(self, line)
-                    if line.dirty:
-                        self.stats.writebacks += 1
-                        self.downstream.write_back(
-                            self.line_addr(line.line_no),
-                            line.data,
-                            self.full_mask,
-                        )
+                if line.valid and line.dirty:
+                    self.stats.writebacks += 1
+                    self.downstream.write_back(
+                        self.line_addr(line.line_no),
+                        line.data,
+                        self.full_mask,
+                    )
                 line.invalidate()

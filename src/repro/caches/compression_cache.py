@@ -51,7 +51,6 @@ from repro.check.runtime import runtime_checks_enabled
 from repro.compression.fastscalar import compressibility_fn
 from repro.compression.scheme import CompressionScheme, PAPER_SCHEME
 from repro.errors import CacheProtocolError, ConfigurationError
-from repro.inject import hooks as _inject
 from repro.memory.bus import TrafficKind
 from repro.memory.image import WORD_BYTES
 from repro.obs import tracer as _trace
@@ -279,8 +278,6 @@ class CompressionCache:
         ways = self._sets[set_idx]
         victim = ways[-1]
         if victim.line_no >= 0:
-            if _inject.ACTIVE:
-                _inject.SESSION.before_evict(self, victim)
             if victim.dirty:
                 self.stats.writebacks += 1
                 self.downstream.write_back(
@@ -477,8 +474,6 @@ class CompressionCache:
                     _trace.emit(
                         "prefetch", level=self.name, line=aff_no, words=n_words
                     )
-        if _inject.ACTIVE:
-            _inject.SESSION.after_fill(self, frame)
         return frame
 
     # ---- promotion ---------------------------------------------------------------------
@@ -518,8 +513,6 @@ class CompressionCache:
         self, addr: int, write: bool = False, value: int | None = None, now: int = 0
     ) -> AccessResult:
         """One word-sized CPU access against the CPP L1."""
-        if _inject.ACTIVE:
-            _inject.SESSION.before_access(self, addr, write)
         ln = addr >> self.line_shift
         widx = (addr >> 2) & (self.line_words - 1)
 
@@ -645,7 +638,7 @@ class CompressionCache:
         Code 0 is an *uncounted* MRU primary-word hit — the caller
         batches ``accesses``/``hits``; anything else goes through
         :meth:`access` and is counted there. Callers must ensure no
-        observation hook (tracing, injection, audits) is active.
+        observation hook (tracing, audits) is active.
         """
         ln = addr >> self.line_shift
         frame = self._sets[ln & self.set_mask][0]
@@ -726,8 +719,6 @@ class CompressionCache:
         offset = (addr >> 2) & (self.line_words - 1)
         need_idx = offset + need_word
 
-        if _inject.ACTIVE:
-            _inject.SESSION.before_serve(self, addr, pair_addr)
         located = self._slice_hit(ln, offset, n_words, need_idx)
         if located is not None:
             self.stats.record_access(hit=True)
@@ -867,17 +858,14 @@ class CompressionCache:
         """
         for ways in self._sets:
             for frame in ways:
-                if frame.valid:
-                    if _inject.ACTIVE:
-                        _inject.SESSION.before_evict(self, frame)
-                    if frame.dirty:
-                        self.stats.writebacks += 1
-                        self.downstream.write_back(
-                            self.line_addr(frame.line_no),
-                            list(frame.pvals),
-                            frame.pa,
-                            frame.vcp if self._shared_scheme else None,
-                        )
+                if frame.valid and frame.dirty:
+                    self.stats.writebacks += 1
+                    self.downstream.write_back(
+                        self.line_addr(frame.line_no),
+                        list(frame.pvals),
+                        frame.pa,
+                        frame.vcp if self._shared_scheme else None,
+                    )
                 frame.invalidate()
 
     def contents(self) -> list[tuple[int, int, int, bool]]:

@@ -33,7 +33,6 @@ from repro.compression.fastscalar import (
 )
 from repro.compression.scheme import CompressionScheme, PAPER_SCHEME
 from repro.errors import CacheProtocolError, UnmappedAddressError
-from repro.inject import hooks as _inject
 from repro.memory.bus import TrafficKind
 from repro.memory.image import WORD_BYTES
 from repro.memory.main_memory import MainMemory
@@ -243,12 +242,8 @@ class MemoryPort:
         """Comp-table probe for the line at *addr* under this port's scheme.
 
         ``None`` (classify yourself) unless the backing memory carries a
-        comp table built for exactly this scheme and no fault-injection
-        session is live — injection hooks mutate values in flight, so
-        table bits would not describe what travelled on the bus.
+        comp table built for exactly this scheme.
         """
-        if _inject.ACTIVE:
-            return None
         table = getattr(self.memory, "comp_table", None)
         if table is None or table.scheme is not self.scheme:
             return None
@@ -270,11 +265,7 @@ class MemoryPort:
         if addr % (n_words * WORD_BYTES):
             raise CacheProtocolError(f"unaligned line fetch at {addr:#x}")
         full = (1 << n_words) - 1
-        if _inject.ACTIVE:
-            _inject.SESSION.on_memory_read(addr, n_words)
         values = self.memory.image.read_words_list(addr, n_words)
-        if _inject.ACTIVE:
-            values = _inject.SESSION.on_bus_values(addr, values)
         if self.fetch_compressed:
             comp = self.line_comp(addr, n_words)
             bus_words = (
@@ -316,20 +307,11 @@ class MemoryPort:
         line_bytes = n_words * WORD_BYTES
         if addr % line_bytes or affil_addr % line_bytes:
             raise CacheProtocolError("unaligned pair fetch")
-        if _inject.ACTIVE:
-            _inject.SESSION.on_memory_read(addr, n_words)
-            _inject.SESSION.on_memory_read(affil_addr, n_words)
         values = self.memory.image.read_words_list(addr, n_words)
         try:
             affil_values = self.memory.image.read_words_list(affil_addr, n_words)
         except UnmappedAddressError:
             affil_values = None
-        if _inject.ACTIVE:
-            values = _inject.SESSION.on_bus_values(addr, values)
-            if affil_values is not None:
-                affil_values = _inject.SESSION.on_bus_values(
-                    affil_addr, affil_values
-                )
         self.memory.bus.record(kind, n_words)
         self.memory.n_reads += 1
         return values, affil_values
@@ -344,11 +326,7 @@ class MemoryPort:
         """
         if addr % (n_words * WORD_BYTES):
             raise CacheProtocolError(f"unaligned prefetch at {addr:#x}")
-        if _inject.ACTIVE:
-            _inject.SESSION.on_memory_read(addr, n_words)
         values = self.memory.image.read_words_list(addr, n_words)
-        if _inject.ACTIVE:
-            values = _inject.SESSION.on_bus_values(addr, values)
         if self.fetch_compressed:
             full = (1 << n_words) - 1
             comp = self.line_comp(addr, n_words)
@@ -370,14 +348,10 @@ class MemoryPort:
         VCP bits). The memo is maintained against the written values, so
         when the caller shares this port's scheme the packed size is two
         popcounts instead of a per-word classification; a ``None`` memo
-        (or an active injection session, whose hooks may rewrite the
-        values below) re-derives packing from the values.
+        re-derives packing from the values.
         """
         values = as_words(values)
         mask = as_mask(mask)
-        if _inject.ACTIVE:
-            values = _inject.SESSION.on_bus_values(addr, values, mask)
-            comp = None
         if self.writeback_compressed:
             packed = (
                 self._packed_words(addr, values, mask)

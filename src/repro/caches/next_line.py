@@ -150,7 +150,7 @@ class PrefetchingCache:
         touching stats (the caller batches ``accesses``/``hits``, which
         land in the shared counters); everything else goes through
         :meth:`access`. Callers must ensure no observation hook (tracing,
-        injection, runtime audits) is active.
+        runtime audits) is active.
         """
         cache = self.cache
         line_no = addr >> cache.line_shift

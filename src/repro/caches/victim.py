@@ -26,7 +26,6 @@ from repro.caches.interface import AccessResult, FetchResponse, LineSource
 from repro.caches.line import CacheLine
 from repro.caches.stats import CacheStats
 from repro.errors import ConfigurationError
-from repro.inject import hooks as _inject
 from repro.memory.bus import TrafficKind
 
 __all__ = ["VictimBuffer", "VictimAwareCache", "VictimCache"]
@@ -117,11 +116,6 @@ class VictimAwareCache(Cache):
         it; only buffer age-outs reach the next level."""
         ways = self._sets[set_idx]
         victim = ways[-1]
-        if victim.valid:
-            if _inject.ACTIVE:
-                # Scrub the victim before it enters the buffer: buffered
-                # lines bypass the set-probe detection points.
-                _inject.SESSION.before_evict(self, victim)
         if victim.valid:
             spilled = self.victim_buffer.insert(
                 victim.line_no, victim.data, victim.dirty

@@ -16,9 +16,8 @@ the table's scheme), built lazily with the vectorized classifier from
 line's compressibility mask becomes an O(1) shift-and-mask probe
 (:meth:`line_comp`) instead of a per-word classifier loop.
 
-The table is attached by the Machine only under the ``fast`` backend
-(and never during fault-injection campaigns, whose hooks mutate values
-in flight); the ``reference`` backend always classifies from scratch, so
+The table is attached by the Machine only under the ``fast`` backend;
+the ``reference`` backend always classifies from scratch, so
 backend-vs-backend lockstep genuinely exercises both code paths.
 """
 

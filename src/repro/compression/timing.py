@@ -15,9 +15,7 @@ from repro.compression.scheme import PAPER_SCHEME, CompressionScheme
 
 __all__ = [
     "GateDelayModel",
-    "ECCDelayModel",
     "CodecTiming",
-    "secded_check_bits",
 ]
 
 
@@ -111,88 +109,3 @@ class CodecTiming:
     def compression_hidden(self) -> bool:
         """Zero-cycle compression — hidden before the write-back stage."""
         return self.compress_cycles == 0
-
-
-def secded_check_bits(data_bits: int) -> int:
-    """Check bits of a SECDED (extended Hamming) code over *data_bits*.
-
-    The smallest ``r`` with ``2**r >= data_bits + r + 1`` Hamming bits,
-    plus one overall-parity bit for double-error detection — e.g. 7 for
-    a (39,32) code over a 32-bit slot, 6 for (22,16) over the paper's
-    16-bit compressed slot.
-    """
-    if data_bits < 1:
-        raise ValueError("data_bits must be positive")
-    r = 1
-    while (1 << r) < data_bits + r + 1:
-        r += 1
-    return r + 1
-
-
-@dataclass(frozen=True)
-class ECCDelayModel:
-    """Gate-level delay of the protection logic used by :mod:`repro.inject`.
-
-    Same modelling style as :class:`GateDelayModel`: every check is a
-    balanced tree of 2-input gates, so its delay is ``ceil(log2(n))``
-    gate levels over the *n* bits it reduces.
-
-    * **Parity** over a unit of ``data_bits`` (plus the stored parity
-      bit) is one XOR tree: ``ceil(log2(data_bits + 1))`` levels.
-    * **SECDED syndrome** generation reduces the full codeword
-      (``data_bits`` + :func:`secded_check_bits`): ``ceil(log2(codeword))``
-      levels; that is the *detection* path.
-    * **Correction** decodes the syndrome and flips the addressed bit —
-      ``correct_levels`` additional levels for the decoder/mux, the same
-      role ``select_levels`` plays in :class:`GateDelayModel`.
-
-    :meth:`cycles` converts gate levels to whole pipeline cycles against
-    a per-cycle gate budget; a check that fits inside the budget is
-    hidden under tag match — the same argument §3.2 makes for the
-    decompressor — and costs zero extra cycles.
-    """
-
-    data_bits: int = 32
-    correct_levels: int = 3
-
-    def __post_init__(self) -> None:
-        if self.data_bits < 1:
-            raise ValueError("data_bits must be positive")
-        if self.correct_levels < 0:
-            raise ValueError("correct_levels must be non-negative")
-
-    @property
-    def check_bits(self) -> int:
-        return secded_check_bits(self.data_bits)
-
-    @property
-    def codeword_bits(self) -> int:
-        return self.data_bits + self.check_bits
-
-    @property
-    def parity_gate_delays(self) -> int:
-        """XOR-tree depth of a per-unit parity check."""
-        return math.ceil(math.log2(self.data_bits + 1))
-
-    @property
-    def syndrome_gate_delays(self) -> int:
-        """SECDED syndrome generation (the detection path)."""
-        return math.ceil(math.log2(self.codeword_bits))
-
-    @property
-    def correct_gate_delays(self) -> int:
-        """Syndrome decode plus the single-bit correction mux."""
-        return self.syndrome_gate_delays + self.correct_levels
-
-    @staticmethod
-    def cycles(gate_delays: int, gate_delays_per_cycle: int) -> int:
-        """Extra pipeline cycles for a path of *gate_delays* levels.
-
-        Zero when the path fits in one cycle's budget (hidden under tag
-        match); otherwise the number of full cycles it occupies.
-        """
-        if gate_delays_per_cycle <= 0:
-            raise ValueError("gate_delays_per_cycle must be positive")
-        if gate_delays <= gate_delays_per_cycle:
-            return 0
-        return math.ceil(gate_delays / gate_delays_per_cycle)

@@ -32,8 +32,8 @@ the end — counter addition is order-free.
 Whatever the kernel cannot run faithfully goes to the reference core
 wholesale, sharing this core's predictor so the handoff is seamless: no
 C compiler, load verification, event tracing, the i-cache model, a warm
-(reused) predictor, fault injection, ``REPRO_CHECK`` audits, or an L1
-without the word-op contract (the BSP/BVC extension configurations).
+(reused) predictor, ``REPRO_CHECK`` audits, or an L1 without the
+word-op contract (the BSP/BVC extension configurations).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.cpu import ckernel
 from repro.cpu.branch import BimodPredictor
 from repro.cpu.metrics import CoreMetrics
 from repro.cpu.pipeline import CoreConfig, CoreResult, OutOfOrderCore
-from repro.inject import hooks as _inject
 from repro.isa.predecode import get_predecoded
 from repro.isa.trace import Trace
 from repro.obs import tracer as _trace
@@ -97,7 +96,6 @@ class FastCore:
         """True when the compiled loop can drive this hierarchy's L1."""
         return (
             _has_word_ops(self.hierarchy.l1)
-            and not _inject.ACTIVE
             and not runtime_checks_enabled()
             and ckernel.kernel_available()
         )

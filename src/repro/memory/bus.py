@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.inject import hooks as _inject
 from repro.obs import tracer as _trace
 
 __all__ = ["TrafficKind", "BusMeter"]
@@ -39,8 +38,6 @@ class BusMeter:
         """Record one bus transaction of *words* 32-bit beats."""
         if words < 0:
             raise ValueError("bus words must be non-negative")
-        if _inject.ACTIVE:
-            _inject.SESSION.on_bus_transfer(kind, words)
         self.words_by_kind[kind] += words
         self.transfers_by_kind[kind] += 1
         if _trace.ACTIVE:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.inject import hooks as _inject
 from repro.memory.bus import BusMeter, TrafficKind
 from repro.memory.image import WORD_BYTES, MemoryImage
 from repro.utils.bitmask import as_mask
@@ -61,8 +60,6 @@ class MainMemory:
         *n_words*, the uncompressed cost). Compressed-transfer designs pass
         the packed size.
         """
-        if _inject.ACTIVE:
-            _inject.SESSION.on_memory_read(addr, n_words)
         data = self.image.read_words(addr, n_words)
         self.bus.record(kind, n_words if bus_words is None else bus_words)
         self.n_reads += 1
@@ -91,10 +88,6 @@ class MainMemory:
         if mask is not None:
             mask = as_mask(mask)
         full = (1 << len(values)) - 1
-        if _inject.ACTIVE:
-            _inject.SESSION.on_memory_write(
-                addr, len(values), full if mask is None else mask
-            )
         if mask is None or mask == full:
             self.image.write_words(addr, values)
             n_valid = len(values)

@@ -19,7 +19,6 @@ from repro.compression.codecs import (
     resolve_codec,
 )
 from repro.compression.comptable import ImageCompTable
-from repro.inject import hooks as _inject
 from repro.memory.main_memory import MainMemory
 from repro.obs.metrics import REGISTRY
 from repro.sim.backend import create_core, resolve_backend
@@ -60,12 +59,11 @@ class Machine:
         core = create_core(
             backend, hierarchy, self.config.core, verify_loads=self.verify_loads
         )
-        if backend == "fast" and not _inject.ACTIVE:
+        if backend == "fast":
             # Precompute whole-image compressibility so compressed bus
             # packing and fill classification become table probes. Only
             # the off-chip port's scheme matters: every classification of
-            # memory-sourced words happens under it. Fault-injection runs
-            # skip the table — their hooks mutate values in flight.
+            # memory-sourced words happens under it.
             port = getattr(hierarchy.l2, "downstream", None)
             if isinstance(port, MemoryPort):
                 memory.attach_comp_table(

@@ -79,7 +79,10 @@ class _LeaseKeeper(threading.Thread):
 
     def stop(self) -> None:
         self._halt.set()
-        self.join(timeout=5.0)
+        # An interrupt inside start() can leave the thread unstarted;
+        # joining it would raise. Once started, it sees the halt at once.
+        if self.is_alive():
+            self.join(timeout=5.0)
 
 
 def _matrix_tasks(workloads, configs, miss_scales, seed, scale) -> dict:
@@ -202,33 +205,32 @@ def run_matrix_store(
     batch_size = max(1, max_workers or 1)
     while True:
         jobs: list[Job] = []
-        while len(jobs) < batch_size:
-            job = queue.claim(worker)
-            if job is None:
-                break
-            jobs.append(job)
-        if not jobs:
-            if queue.drained():
-                break
-            # Other workers hold live leases: wait for their completions
-            # (or their leases' expiry, which claim() then reclaims).
-            time.sleep(wait_poll)
-            continue
-        keeper = _LeaseKeeper(queue, jobs, worker, lease_ttl)
-        keeper.start()
+        keeper = None
         try:
-            batch = _fault.run_supervised(
-                [job.task for job in jobs],
-                _fault._matrix_cell_worker,
-                key_of=_fault._matrix_task_key,
-                policy=policy,
-                max_workers=max_workers,
-                checkpoint=checkpoint,
-                progress=progress,
-                phase_name="store_campaign",
-            )
+            # Claims and the keeper's start sit inside the try: an
+            # interrupt landing between two claims, or while the keeper
+            # thread starts, must still give back every lease held.
+            while len(jobs) < batch_size:
+                job = queue.claim(worker)
+                if job is None:
+                    break
+                jobs.append(job)
+            if jobs:
+                keeper = _LeaseKeeper(queue, jobs, worker, lease_ttl)
+                keeper.start()
+                batch = _fault.run_supervised(
+                    [job.task for job in jobs],
+                    _fault._matrix_cell_worker,
+                    key_of=_fault._matrix_task_key,
+                    policy=policy,
+                    max_workers=max_workers,
+                    checkpoint=checkpoint,
+                    progress=progress,
+                    phase_name="store_campaign",
+                )
         except BaseException:
-            keeper.stop()
+            if keeper is not None:
+                keeper.stop()
             # Interrupt/fail-fast: keep what the store already has, give
             # the rest back so other workers (or a rerun) pick them up.
             for job in jobs:
@@ -237,6 +239,13 @@ def run_matrix_store(
                 else:
                     queue.release(job)
             raise
+        if not jobs:
+            if queue.drained():
+                break
+            # Other workers hold live leases: wait for their completions
+            # (or their leases' expiry, which claim() then reclaims).
+            time.sleep(wait_poll)
+            continue
         keeper.stop()
         outcome.results.update(batch.results)
         for key, n in batch.attempts.items():

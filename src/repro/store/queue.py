@@ -221,6 +221,11 @@ class CampaignQueue:
             )
             os.write(fd, body.encode("utf-8"))
             os.fsync(fd)
+        except BaseException:
+            # Interrupted before the caller holds a Job (SIGTERM arrives
+            # as KeyboardInterrupt): nobody could release this lease.
+            path.unlink(missing_ok=True)
+            raise
         finally:
             os.close(fd)
         return True

@@ -12,7 +12,7 @@ from repro.utils.bitops import (
     to_uint32,
 )
 from repro.utils.intmath import align_down, align_up, ceil_div, is_pow2, log2i
-from repro.utils.rng import make_rng, derive_seed
+from repro.utils.rng import make_rng
 from repro.utils.stats import Counter, Histogram, RunningMean
 from repro.utils.tables import format_bar_chart, format_table
 
@@ -31,7 +31,6 @@ __all__ = [
     "is_pow2",
     "log2i",
     "make_rng",
-    "derive_seed",
     "Counter",
     "Histogram",
     "RunningMean",

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "derive_seed"]
-
-_DERIVE_SALT = 0x9E37_79B9  # golden-ratio odd constant, splitmix-style
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -22,23 +20,3 @@ def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError("seed must be non-negative")
     return np.random.default_rng(seed)
-
-
-def derive_seed(seed: int, *labels: int | str) -> int:
-    """Derive a stable sub-seed from a master seed and a label path.
-
-    Used to give each workload phase its own independent stream without the
-    phases perturbing one another when one of them changes how much
-    randomness it consumes.
-    """
-    h = seed & 0xFFFF_FFFF_FFFF_FFFF
-    for label in labels:
-        if isinstance(label, str):
-            data = label.encode("utf-8")
-        else:
-            data = int(label).to_bytes(8, "little", signed=False)
-        for b in data:
-            h ^= b
-            h = (h * 0x100_0000_01B3) & 0xFFFF_FFFF_FFFF_FFFF  # FNV-1a step
-        h ^= _DERIVE_SALT
-    return h

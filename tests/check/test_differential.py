@@ -14,6 +14,7 @@ import pytest
 
 from repro.caches.compression_cache import CompressionCache
 from repro.caches.hierarchy import CONFIG_NAMES
+from repro.caches.interface import MemoryPort
 from repro.check.diff import DifferentialRunner, Op, program_stream, random_stream
 from repro.compression.scheme import PAPER_SCHEME
 
@@ -23,7 +24,12 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
-from fuzz_cache import fuzz_regions, seeded_image_factory, tiny_params  # noqa: E402
+from fuzz_cache import (  # noqa: E402
+    fuzz_regions,
+    run_cell,
+    seeded_image_factory,
+    tiny_params,
+)
 
 
 def make_runner(config, seed=7):
@@ -141,3 +147,17 @@ class TestDetection:
         assert divergence is not None
         assert divergence.where == "exception"
         assert "injected" in repr(divergence.real)
+
+    def test_cpp_strict_cell_catches_a_fabricated_partner(self, monkeypatch):
+        # The strict cells pair L2 lines a page apart, so every partner
+        # is unmapped: a fill that makes up zero words for it diverges.
+        assert run_cell("CPP", 15, 0, 200, audit=False, strict_boundary=True)[0]
+        real_fetch_pair = MemoryPort.fetch_pair
+
+        def fabricating(self, addr, n_words, affil_addr, **kwargs):
+            values, affil = real_fetch_pair(self, addr, n_words, affil_addr, **kwargs)
+            return values, [0] * n_words if affil is None else affil
+
+        monkeypatch.setattr(MemoryPort, "fetch_pair", fabricating)
+        ok, report = run_cell("CPP", 15, 0, 200, audit=False, strict_boundary=True)
+        assert not ok and report

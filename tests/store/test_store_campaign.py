@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from repro.sim.runner import run_workload
 from repro.store import (
     CampaignQueue,
@@ -10,6 +14,7 @@ from repro.store import (
     campaign_name,
     run_matrix_store,
 )
+from repro.store import campaign as campaign_mod
 
 WORKLOADS = ["olden.treeadd"]
 CONFIGS = ["BC", "CPP"]
@@ -84,3 +89,69 @@ def test_store_checkpoint_adapter_round_trip(tmp_path):
     # Re-adding an identical cell is not a fresh compute.
     checkpoint.add(key, result)
     assert len(store.compute_log()) == 1
+
+
+# SIGTERM reaches run_matrix_store as KeyboardInterrupt. Wherever it lands
+# between a claim and the batch, the campaign must give the lease back on
+# the way out instead of leaving it to TTL expiry. Each plant raises the
+# interrupt deterministically before any cell simulates.
+
+
+def _interrupt_keeper_start(monkeypatch):
+    def start(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(campaign_mod._LeaseKeeper, "start", start)
+
+
+def _interrupt_second_claim(monkeypatch):
+    real_claim = CampaignQueue.claim
+    calls = []
+
+    def claim(self, worker=None):
+        calls.append(worker)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_claim(self, worker)
+
+    monkeypatch.setattr(CampaignQueue, "claim", claim)
+
+
+def _interrupt_lease_fsync(monkeypatch):
+    # Only the fsync of the lease being written inside claim() raises.
+    real_claim = CampaignQueue.claim
+    real_fsync = os.fsync
+    armed = []
+
+    def fsync(fd):
+        if armed:
+            raise KeyboardInterrupt
+        real_fsync(fd)
+
+    def claim(self, worker=None):
+        armed.append(True)
+        try:
+            return real_claim(self, worker)
+        finally:
+            armed.clear()
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(CampaignQueue, "claim", claim)
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [_interrupt_keeper_start, _interrupt_second_claim, _interrupt_lease_fsync],
+    ids=["keeper-start", "second-claim", "lease-fsync"],
+)
+def test_interrupt_before_batch_releases_every_lease(tmp_path, monkeypatch, plant):
+    plant(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path)
+    monkeypatch.undo()
+    queue = CampaignQueue(tmp_path / "store" / "queue", campaign_name(1, SCALE))
+    assert list(queue.leases_dir.iterdir()) == []
+    snapshot = queue.snapshot()
+    assert snapshot["jobs"] == 2
+    assert snapshot["leased"] == 0
+    assert snapshot["pending"] == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng
+from repro.utils.rng import make_rng
 
 
 class TestMakeRng:
@@ -20,20 +20,3 @@ class TestMakeRng:
         with pytest.raises(ValueError):
             make_rng(-1)
 
-
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(7, "phase") == derive_seed(7, "phase")
-
-    def test_label_sensitivity(self):
-        assert derive_seed(7, "build") != derive_seed(7, "traverse")
-
-    def test_seed_sensitivity(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-    def test_path_order_matters(self):
-        assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
-
-    def test_int_labels(self):
-        assert derive_seed(1, 5) == derive_seed(1, 5)
-        assert derive_seed(1, 5) != derive_seed(1, 6)

@@ -16,11 +16,13 @@ words so stores flip compressibility both ways.
 
 Strict-boundary cells (on by default, ``--no-strict-boundary`` skips
 them) run CPP and BCP over a *strict* memory image whose mapped lines
-end on a page boundary, so the line past the top one is unmapped — the
+end on a page boundary, so the page past the top line is unmapped — the
 image edge where a fill or prefetch must neither fabricate data out of
-a nonexistent line nor fail the demand access that triggered it. CPP's
-affiliated partner (``line XOR 0x1``) always lies in the same page, so
-the edge reaches BCP's next-line prefetch, not CPP's pairing.
+a nonexistent line nor fail the demand access that triggered it. BCP's
+next-line prefetch reaches the edge from the top line. CPP's cells pair
+lines one page apart (``line XOR PAGE_BYTES // L2_LINE``), so every
+mapped L2 line's affiliated partner is unmapped; the paper's ``0x1``
+partner never leaves the page.
 
 Exit status: 0 when every cell agreed, 1 when any divergence survived.
 
@@ -45,11 +47,13 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.caches.compression_cache import CPPPolicy  # noqa: E402
 from repro.caches.hierarchy import CONFIG_NAMES, HierarchyParams  # noqa: E402
 from repro.check.diff import (  # noqa: E402
     DifferentialRunner,
@@ -73,6 +77,10 @@ HEAP = 0x1000_0000
 #: Configurations whose fills reach past the demand line (CPP's
 #: affiliated partner, BCP's next line): they get strict-boundary cells.
 STRICT_BOUNDARY_CONFIGS = ("CPP", "BCP")
+
+#: CPP's pairing in its strict-boundary cells: an L2 line's partner is
+#: one page away, so the mapped lines' partners are all unmapped.
+STRICT_CPP_POLICY = CPPPolicy(mask=PAGE_BYTES // L2_LINE)
 
 
 def tiny_params(scheme: CompressionScheme) -> HierarchyParams:
@@ -175,6 +183,8 @@ def run_cell(
             seed, regions, scheme, strict=True, n_lines=n_lines
         )
         stream_regions = [strict_region(n_lines)]
+        if config == "CPP":
+            params = replace(params, cpp_policy=STRICT_CPP_POLICY)
     else:
         factory = seeded_image_factory(seed, regions, scheme)
         stream_regions = regions
