@@ -50,6 +50,7 @@ from repro.caches.interface import SERVED_CODE_BITS
 from repro.caches.next_line import PrefetchingCache
 from repro.cpu.resources import FuPool
 from repro.errors import TraceError
+from repro.isa.trace import _LATENCY_TABLE
 
 __all__ = ["Tallies", "kernel_available", "run_compiled"]
 
@@ -59,6 +60,9 @@ _IDX_BITS = 25
 
 #: Slots of the per-code load tally (every packed word-op code fits).
 _N_CODES = 1 << SERVED_CODE_BITS
+
+#: Execution latency by op-class code, in the kernel's ``lat`` dtype.
+_LATENCY32 = _LATENCY_TABLE.astype(np.int32)
 
 # ---- the kernel ---------------------------------------------------------------
 
@@ -560,43 +564,26 @@ class Tallies(NamedTuple):
 
 
 def _c_columns(trace, pre) -> dict:
+    """The kernel's trace-derived input columns (cached on *pre*).
+
+    *pre*'s own columns already have the kernel's dtypes, and so do a
+    trace's ``addr``/``value`` (uint32), which pass through uncopied.
+    Only the columns derived from the op class are built here.
+    """
     cols = pre.c_cols
     if cols is None:
+        is_load = trace.load_mask.view(np.uint8)
+        is_store = trace.store_mask.view(np.uint8)
         cols = pre.c_cols = {
-            "slot": np.ascontiguousarray(pre.slot, dtype=np.uint8),
-            "is_load": np.ascontiguousarray(trace.load_mask, dtype=np.uint8),
-            "fwd": np.ascontiguousarray(pre.fwd, dtype=np.int32),
+            "is_load": is_load,
+            "lat": _LATENCY32[trace.op],
+            "is_mem": is_load | is_store,
+            "kind": is_load + 2 * is_store,
             "addr": np.ascontiguousarray(trace.addr, dtype=np.uint32),
             "value": np.ascontiguousarray(trace.value, dtype=np.uint32),
-            "lat": np.ascontiguousarray(trace.hot().latency, dtype=np.int32),
-            "dep1": np.ascontiguousarray(pre.dep1, dtype=np.int32),
-            "dep2": np.ascontiguousarray(pre.dep2, dtype=np.int32),
-            "is_mem": np.ascontiguousarray(trace.mem_mask, dtype=np.uint8),
-            "kind": (trace.load_mask + 2 * trace.store_mask).astype(np.uint8),
-            "cons_start": np.ascontiguousarray(pre.cons_start, dtype=np.int32),
-            "cons_flat": np.ascontiguousarray(pre.cons_flat, dtype=np.int32),
+            "n_stores": int(np.count_nonzero(is_store)),
         }
-        cols["n_stores"] = int(np.count_nonzero(trace.store_mask))
     return cols
-
-
-def _c_bp(pre, n_entries: int, mispred) -> tuple:
-    """``(flags, next_mp)`` arrays for one predictor geometry (cached).
-
-    ``next_mp[i]`` is the smallest ``j >= i`` whose fetch mispredicts
-    (or ``n``): fetch advances in blocks instead of testing every flag.
-    """
-    bp = pre.c_bp.get(n_entries)
-    if bp is None:
-        flags = np.asarray(mispred, dtype=np.uint8)
-        n = len(flags)
-        marks = np.where(flags != 0, np.arange(n), n)
-        next_mp = np.minimum.accumulate(marks[::-1])[::-1]
-        bp = pre.c_bp[n_entries] = (
-            flags,
-            np.ascontiguousarray(next_mp, dtype=np.int32),
-        )
-    return bp
 
 
 def run_compiled(trace, pre, cfg, l1):
@@ -615,10 +602,7 @@ def run_compiled(trace, pre, cfg, l1):
         return None
 
     cols = _c_columns(trace, pre)
-    mispred, bp_branches, bp_mispredicts = pre.bimod_outcomes(
-        trace, cfg.bimod_entries
-    )
-    mp_arr, next_mp_arr = _c_bp(pre, cfg.bimod_entries, mispred)
+    bp = pre.bimod_outcomes(trace, cfg.bimod_entries)
     fu_limits = FuPool(cfg.fu)._limits
     hard_limit = 2_000 * n + 1_000_000  # the reference core's deadlock bound
 
@@ -752,20 +736,20 @@ def run_compiled(trace, pre, cfg, l1):
     store_cb = _STORE_CB(_on_store)
     fn(
         params.ctypes.data,
-        cols["slot"].ctypes.data,
+        pre.slot.ctypes.data,
         cols["is_load"].ctypes.data,
-        cols["fwd"].ctypes.data,
+        pre.fwd.ctypes.data,
         cols["addr"].ctypes.data,
         cols["value"].ctypes.data,
         cols["lat"].ctypes.data,
-        cols["dep1"].ctypes.data,
-        cols["dep2"].ctypes.data,
+        pre.dep1.ctypes.data,
+        pre.dep2.ctypes.data,
         cols["is_mem"].ctypes.data,
         cols["kind"].ctypes.data,
-        mp_arr.ctypes.data,
-        next_mp_arr.ctypes.data,
-        cols["cons_start"].ctypes.data,
-        cols["cons_flat"].ctypes.data,
+        bp.flags.ctypes.data,
+        bp.next_mp.ctypes.data,
+        pre.cons_start.ctypes.data,
+        pre.cons_flat.ctypes.data,
         fu_arr.ctypes.data,
         mru_line.ctypes.data,
         mru_pa.ctypes.data,
@@ -800,6 +784,6 @@ def run_compiled(trace, pre, cfg, l1):
         *counts[_O_NOW:_O_ERR_A],
         counts[_O_SERVED0:_OUT_I_LEN],
         *out_d.tolist(),
-        bp_branches,
-        bp_mispredicts,
+        bp.n_branches,
+        bp.n_mispredicts,
     )

@@ -19,7 +19,15 @@ here, all pure functions of the trace:
   in-flight store-list scan.
 * ``slot`` — functional-unit slot per instruction
   (:data:`repro.cpu.resources._UNIT_INDEX` applied to the op column).
-* per-table-size bimod outcome streams (shared with ``TraceHot.bp``).
+* per-table-size bimod outcome streams (:class:`BimodStream`), computed
+  lazily from the trace's own columns. The reference loop caches its
+  own list form in ``TraceHot.bp``; nothing here builds
+  :class:`~repro.isa.trace.TraceHot`, so a trace run on both backends
+  computes the stream once per backend.
+
+Every column is a contiguous NumPy array of the dtype the kernel reads
+(``int32``; ``slot`` is ``uint8``), so the kernel takes them as they
+are and the fast path keeps no per-instruction Python objects.
 
 Results are memoized on the :class:`~repro.isa.trace.Trace` object and
 — when a cache path has been attached via :func:`set_cache_path` —
@@ -29,26 +37,56 @@ pre-decode serves every process that replays the same program.
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.cpu.branch import mispredict_flags
 from repro.cpu.resources import _UNIT_INDEX
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace
 
-__all__ = ["Predecoded", "get_predecoded", "set_cache_path"]
+__all__ = ["BimodStream", "Predecoded", "get_predecoded", "set_cache_path"]
 
 #: Bump when the array layout or semantics change: stale cache entries
-#: are regenerated, never misread.
+#: are regenerated, never misread. The sidecar stores every column as
+#: int64 whatever its in-memory dtype.
 PREDECODE_VERSION = 1
 
 _SAVED_COLUMNS = ("dep1", "dep2", "cons_start", "cons_flat", "fwd", "slot")
 
 
+def _column(values, dtype, length: int) -> np.ndarray:
+    """*values* as a contiguous 1-D *dtype* array of exactly *length*."""
+    col = np.ascontiguousarray(values, dtype=dtype)
+    if col.shape != (length,):
+        raise ValueError(f"column of shape {col.shape}, expected ({length},)")
+    return col
+
+
+class BimodStream(NamedTuple):
+    """A fresh-table bimod predictor's outcomes over one whole trace."""
+
+    #: ``uint8`` per instruction: 1 iff it is a mispredicted branch.
+    flags: np.ndarray
+    #: ``int32`` per instruction: the smallest ``j >= i`` whose fetch
+    #: mispredicts (or ``n``), so fetch advances in blocks instead of
+    #: testing every flag.
+    next_mp: np.ndarray
+    n_branches: int
+    n_mispredicts: int
+
+
 class Predecoded:
-    """Flat derived columns of one trace (see module docstring)."""
+    """Flat derived columns of one trace (see module docstring).
+
+    The kernel reads the columns through raw pointers without bounds
+    checks, so construction fixes each one's dtype and length: a column
+    that does not fit raises :class:`ValueError`.
+    """
 
     __slots__ = (
         "n",
@@ -60,50 +98,53 @@ class Predecoded:
         "slot",
         "bp",
         "c_cols",
-        "c_bp",
     )
 
     def __init__(
         self,
         n: int,
-        dep1: list[int],
-        dep2: list[int],
-        cons_start: list[int],
-        cons_flat: list[int],
-        fwd: list[int],
-        slot: list[int],
+        dep1: ArrayLike,
+        dep2: ArrayLike,
+        cons_start: ArrayLike,
+        cons_flat: ArrayLike,
+        fwd: ArrayLike,
+        slot: ArrayLike,
     ) -> None:
         self.n = n
-        self.dep1 = dep1
-        self.dep2 = dep2
-        self.cons_start = cons_start
-        self.cons_flat = cons_flat
-        self.fwd = fwd
-        self.slot = slot
-        #: table size -> (mispredict flags, n_branches, n_mispredicts),
-        #: filled lazily per predictor geometry.
-        self.bp: dict[int, tuple[list[bool], int, int]] = {}
-        #: Contiguous array views for the compiled kernel (lazy):
-        #: column name -> ndarray, and predictor geometry ->
-        #: (mispredict flags, next-mispredict index) array pair.
+        self.dep1 = _column(dep1, np.int32, n)
+        self.dep2 = _column(dep2, np.int32, n)
+        self.cons_start = _column(cons_start, np.int32, n + 1)
+        self.cons_flat = _column(cons_flat, np.int32, int(self.cons_start[n]))
+        self.fwd = _column(fwd, np.int32, n)
+        self.slot = _column(slot, np.uint8, n)
+        #: table size -> :class:`BimodStream`, filled lazily per
+        #: predictor geometry.
+        self.bp: dict[int, BimodStream] = {}
+        #: The kernel's other per-instruction columns, derived from the
+        #: trace on its first run (see ``repro.cpu.ckernel``).
         self.c_cols: dict | None = None
-        self.c_bp: dict[int, tuple] = {}
 
-    def bimod_outcomes(self, trace: Trace, n_entries: int):
-        """Precomputed fresh-table bimod stream for *n_entries* counters.
-
-        Shares the entries in ``trace.hot().bp`` so the reference and
-        fast backends never compute the same stream twice.
-        """
-        pre = self.bp.get(n_entries)
-        if pre is None:
-            hot = trace.hot()
-            pre = hot.bp.get(n_entries)
-            if pre is None:
-                pre = mispredict_flags(hot.pc, hot.taken, hot.is_branch, n_entries)
-                hot.bp[n_entries] = pre
-            self.bp[n_entries] = pre
-        return pre
+    def bimod_outcomes(self, trace: Trace, n_entries: int) -> BimodStream:
+        """Precomputed fresh-table bimod stream for *n_entries* counters."""
+        stream = self.bp.get(n_entries)
+        if stream is None:
+            flags, n_br, n_mis = mispredict_flags(
+                trace.pc.tolist(),
+                trace.taken.tolist(),
+                trace.branch_mask.tolist(),
+                n_entries,
+            )
+            flags = np.asarray(flags, dtype=np.uint8)
+            n = len(flags)
+            marks = np.where(flags != 0, np.arange(n, dtype=np.int32), n)
+            next_mp = np.minimum.accumulate(marks[::-1])[::-1]
+            stream = self.bp[n_entries] = BimodStream(
+                flags,
+                np.ascontiguousarray(next_mp, dtype=np.int32),
+                n_br,
+                n_mis,
+            )
+        return stream
 
 
 def _compute(trace: Trace) -> Predecoded:
@@ -111,7 +152,6 @@ def _compute(trace: Trace) -> Predecoded:
     dep1 = [-1] * n
     dep2 = [-1] * n
     fwd = [-1] * n
-    slot = np.asarray(_UNIT_INDEX, dtype=np.int64)[trace.op].tolist()
 
     t_dest = trace.dest.tolist()
     t_src1 = trace.src1.tolist()
@@ -177,6 +217,7 @@ def _compute(trace: Trace) -> Predecoded:
         if d >= 0:
             cons_flat[fill[d]] = i
             fill[d] += 1
+    slot = np.asarray(_UNIT_INDEX, dtype=np.uint8)[trace.op]
     return Predecoded(n, dep1, dep2, cons_start, cons_flat, fwd, slot)
 
 
@@ -198,12 +239,9 @@ def _load_npz(path: Path, n: int) -> Predecoded | None:
         with np.load(path) as data:
             if int(data["version"]) != PREDECODE_VERSION or int(data["n"]) != n:
                 return None
-            cols = {name: data[name].tolist() for name in _SAVED_COLUMNS}
-    except (OSError, KeyError, ValueError):
+            return Predecoded(n, **{name: data[name] for name in _SAVED_COLUMNS})
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    if len(cols["dep1"]) != n or len(cols["cons_start"]) != n + 1:
-        return None
-    return Predecoded(n, **cols)
 
 
 def _store_npz(path: Path, pre: Predecoded) -> None:
@@ -214,12 +252,7 @@ def _store_npz(path: Path, pre: Predecoded) -> None:
             tmp,
             version=np.int64(PREDECODE_VERSION),
             n=np.int64(pre.n),
-            dep1=np.asarray(pre.dep1, dtype=np.int64),
-            dep2=np.asarray(pre.dep2, dtype=np.int64),
-            cons_start=np.asarray(pre.cons_start, dtype=np.int64),
-            cons_flat=np.asarray(pre.cons_flat, dtype=np.int64),
-            fwd=np.asarray(pre.fwd, dtype=np.int64),
-            slot=np.asarray(pre.slot, dtype=np.int64),
+            **{name: getattr(pre, name).astype(np.int64) for name in _SAVED_COLUMNS},
         )
         # np.savez appends .npz to names lacking it; normalize then publish.
         produced = tmp if tmp.exists() else tmp.with_name(tmp.name + ".npz")

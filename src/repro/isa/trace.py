@@ -21,7 +21,8 @@ __all__ = ["Trace", "TraceBuilder", "TraceHot"]
 
 _MAX_REG = 32767  # dest/src columns are int16
 
-#: Execution latency indexed by op-class code (for the hot views).
+#: Execution latency indexed by op-class code (the reference loop's hot
+#: views and the compiled kernel's ``lat`` column).
 _LATENCY_TABLE = np.array(
     [EXEC_LATENCY[OpClass(code)] for code in range(max(OpClass) + 1)],
     dtype=np.int64,
@@ -29,12 +30,15 @@ _LATENCY_TABLE = np.array(
 
 
 class TraceHot:
-    """Plain-Python-list views of a trace, for the core's cycle loop.
+    """Plain-Python-list views of a trace, for the reference core's loop.
 
     Each field mirrors a :class:`Trace` column as a list of native ints /
     bools, so the run loop indexes them without per-element NumPy scalar
     boxing. ``is_mem`` / ``is_branch`` / ``latency`` are derived columns
     (op classification and execution latency), computed once per trace.
+    Only :class:`~repro.cpu.pipeline.OutOfOrderCore` builds them: they
+    hold a few hundred bytes per instruction, and the ``fast`` backend's
+    compiled kernel reads NumPy columns instead.
     """
 
     __slots__ = (
@@ -80,7 +84,9 @@ class TraceHot:
             )
         )
         #: Branch-prediction streams keyed by predictor table size (filled
-        #: lazily by the core; see repro.cpu.branch.mispredict_flags).
+        #: lazily by the reference core; see
+        #: repro.cpu.branch.mispredict_flags). The fast path keeps its own
+        #: array form on the pre-decode record.
         self.bp: dict[int, tuple[list[bool], int, int]] = {}
 
 

@@ -1,0 +1,73 @@
+"""The ``fast`` path keeps no per-instruction Python lists.
+
+The compiled kernel reads NumPy columns only. Building the reference
+loop's list views (:class:`~repro.isa.trace.TraceHot`) or keeping the
+pre-decode as lists costs hundreds of bytes per instruction and
+cyclic-GC passes over them, so neither may happen on a kernel run.
+The two loops cache the bimod stream separately; running one program
+on both, in either order, must still give the same results.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.cpu import ckernel
+from repro.sim.config import SimConfig
+from repro.sim.machine import Machine
+from repro.sim.results_io import result_to_full_dict
+from repro.workloads.registry import generate
+
+pytestmark = pytest.mark.skipif(
+    not ckernel.kernel_available(), reason="compiled kernel unavailable on this host"
+)
+
+WORKLOAD = "olden.treeadd"
+SCALE = 0.1
+
+#: Kernel input column -> the element type of its C parameter.
+C_COLUMN_DTYPES = {
+    "is_load": np.uint8,
+    "lat": np.int32,
+    "is_mem": np.uint8,
+    "kind": np.uint8,
+    "addr": np.uint32,
+    "value": np.uint32,
+}
+
+
+def _full_dict(program, config, backend):
+    result = Machine(SimConfig(cache_config=config, backend=backend)).run(program)
+    return json.loads(json.dumps(result_to_full_dict(result)))
+
+
+@pytest.mark.parametrize("config", ["BC", "BCP", "CPP"])
+def test_kernel_run_keeps_only_arrays(config):
+    program = generate(WORKLOAD, seed=1, scale=SCALE)
+    _full_dict(program, config, "fast")
+
+    trace = program.trace
+    # The reference core would have built TraceHot: the kernel ran.
+    assert trace._hot is None
+    pre = trace._predecoded
+    for name in ("dep1", "dep2", "cons_start", "cons_flat", "fwd", "slot"):
+        assert isinstance(getattr(pre, name), np.ndarray), name
+    assert pre.bp
+    for stream in pre.bp.values():
+        assert isinstance(stream.flags, np.ndarray)
+        assert isinstance(stream.next_mp, np.ndarray)
+    for name, dtype in C_COLUMN_DTYPES.items():
+        col = pre.c_cols[name]
+        assert col.dtype == dtype and col.flags["C_CONTIGUOUS"], name
+
+
+@pytest.mark.parametrize("config", ["BCP", "CPP"])
+def test_one_program_on_both_backends_in_either_order(config):
+    program = generate(WORKLOAD, seed=1, scale=SCALE)
+    first_fast = _full_dict(program, config, "fast")
+    reference = _full_dict(program, config, "reference")
+    second_fast = _full_dict(program, config, "fast")
+    assert first_fast == reference == second_fast
+    fresh = generate(WORKLOAD, seed=1, scale=SCALE)
+    assert _full_dict(fresh, config, "reference") == reference

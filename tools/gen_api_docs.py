@@ -36,12 +36,33 @@ def first_line(obj) -> str:
     return "(undocumented)"
 
 
+class _ByName:
+    """A default value shown by its qualified name instead of its repr."""
+
+    def __init__(self, obj) -> None:
+        self.name = getattr(obj, "__qualname__", type(obj).__qualname__)
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def signature_of(obj) -> str:
-    """Best-effort compact signature."""
+    """Best-effort compact signature.
+
+    A callable default's repr carries its memory address, which would
+    change the generated file on every run: it is shown by name.
+    """
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    params = [
+        p.replace(default=_ByName(p.default))
+        if callable(p.default) and not inspect.isclass(p.default)
+        else p
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def walk_modules():
