@@ -7,6 +7,10 @@ once with the system C compiler into a cached shared library and driven
 through :mod:`ctypes` — no third-party build machinery and no
 install-time step. Without a compiler (or when the build fails) the
 kernel is unavailable and ``fast`` runs the reference core instead.
+The same source holds the trace pre-decode and the fresh-table bimod
+stream (:mod:`repro.isa.predecode`). The loop reads a trace's ``op``,
+``addr`` and ``value`` columns in place; per-op tables give each op's
+unit slot, latency and memory class.
 
 The kernel owns the schedule but *not* the cache model, which stays in
 Python:
@@ -48,11 +52,15 @@ import numpy as np
 from repro.caches.compression_cache import CompressionCache
 from repro.caches.interface import SERVED_CODE_BITS
 from repro.caches.next_line import PrefetchingCache
-from repro.cpu.resources import FuPool
-from repro.errors import TraceError
-from repro.isa.trace import _LATENCY_TABLE
+from repro.cpu.resources import _UNIT_INDEX, FuPool
+from repro.errors import ConfigurationError, TraceError
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import _LATENCY_TABLE, _MAX_REG
+from repro.utils.intmath import is_pow2
 
-__all__ = ["Tallies", "kernel_available", "run_compiled"]
+__all__ = [
+    "Tallies", "bimod_columns", "kernel_available", "predecode_columns", "run_compiled"
+]
 
 #: Completion-heap entries pack ``(cycle << _IDX_BITS) | idx`` into one
 #: 64-bit int, so a trace may hold at most ``2**_IDX_BITS`` instructions.
@@ -61,18 +69,38 @@ _IDX_BITS = 25
 #: Slots of the per-code load tally (every packed word-op code fits).
 _N_CODES = 1 << SERVED_CODE_BITS
 
-#: Execution latency by op-class code, in the kernel's ``lat`` dtype.
-_LATENCY32 = _LATENCY_TABLE.astype(np.int32)
+#: Memory class of an op: what the C code's ``mem_tbl`` holds.
+_MEM_LOAD, _MEM_STORE = 1, 2
+
+
+def _op_table(values, dtype) -> np.ndarray:
+    """*values* by op code, zero-padded to one entry per ``uint8`` code."""
+    table = np.zeros(256, dtype=dtype)
+    table[: len(values)] = values
+    return table
+
+
+#: Per-op tables the C code indexes with a trace's ``op`` column:
+#: functional-unit slot, execution latency and memory class.
+_OP_SLOT = _op_table(_UNIT_INDEX, np.uint8)
+_OP_LATENCY = _op_table(_LATENCY_TABLE, np.int32)
+_OP_MEM = _op_table([], np.uint8)
+_OP_MEM[[OpClass.LOAD, OpClass.STORE]] = _MEM_LOAD, _MEM_STORE
 
 # ---- the kernel ---------------------------------------------------------------
 
 _C_SOURCE = f"""
 #define IDX_BITS {_IDX_BITS}
 #define CODE_BITS {SERVED_CODE_BITS}
+#define N_REGS {_MAX_REG + 1}
+#define OP_BRANCH {int(OpClass.BRANCH)}
+#define MEM_LOAD {_MEM_LOAD}
+#define MEM_STORE {_MEM_STORE}
 """ + r"""
 #define N_CODES (1 << CODE_BITS)
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t (*load_cb_t)(uint32_t addr, int64_t now);
 typedef int64_t (*store_cb_t)(uint32_t addr, uint32_t value, int64_t now);
@@ -128,11 +156,13 @@ static uint64_t heap_pop(uint64_t *h, int *hn) {
 
 int64_t run_core(
     const int64_t *params,
-    const uint8_t *slot_arr, const uint8_t *is_load_arr,
+    /* The trace's op column and the per-op tables it indexes (256
+       entries each, so no uint8 code reads past them). */
+    const uint8_t *op_arr, const uint8_t *slot_tbl,
+    const int32_t *lat_tbl, const uint8_t *mem_tbl,
     const int32_t *fwd_arr, const uint32_t *addr_arr,
-    const uint32_t *value_arr, const int32_t *lat_arr,
+    const uint32_t *value_arr,
     const int32_t *dep1_arr, const int32_t *dep2_arr,
-    const uint8_t *is_mem_arr, const uint8_t *kind_arr,
     const uint8_t *mispred_arr, const int32_t *next_mp_arr,
     const int32_t *cons_start, const int32_t *cons_flat,
     const int32_t *fu_limits,
@@ -230,10 +260,10 @@ int64_t run_core(
                 int64_t idx = committed;
                 committed++;
                 n_commit++;
-                uint8_t kind = kind_arr[idx];
-                if (kind) {
+                uint8_t mem = mem_tbl[op_arr[idx]];
+                if (mem) {
                     lsq_used--;
-                    if (kind == 2) {
+                    if (mem == MEM_STORE) {
                         uint32_t addr = addr_arr[idx];
                         uint32_t value = value_arr[idx];
                         int trivial = 0;
@@ -281,13 +311,14 @@ int64_t run_core(
             int kept_n = 0;
             for (int pos = 0; pos < ready_n; pos++) {
                 int64_t idx = ready[pos];
-                uint8_t sl = slot_arr[idx];
+                uint8_t op = op_arr[idx];
+                uint8_t sl = slot_tbl[op];
                 int32_t avail = fu_free[sl];
                 if (avail) {
                     fu_free[sl] = avail - 1;
                     state[idx] = 2;
-                    int64_t lat = lat_arr[idx];
-                    if (is_load_arr[idx]) {
+                    int64_t lat = lat_tbl[op];
+                    if (mem_tbl[op] == MEM_LOAD) {
                         n_loads++;
                         uint32_t addr = addr_arr[idx];
                         if (fwd_arr[idx] >= committed) {
@@ -347,7 +378,7 @@ int64_t run_core(
         while (disp_end < i_fetch && n_disp < decode_w
                && disp_end - committed < ruu) {
             int64_t idx = disp_end;
-            uint8_t im = is_mem_arr[idx];
+            uint8_t im = mem_tbl[op_arr[idx]];
             if (im && lsq_used >= lsq) break;
             disp_end++;
             n_disp++;
@@ -395,7 +426,7 @@ int64_t run_core(
             && (committed == disp_end || state[committed] != 3)
             && (disp_end == i_fetch
                 || disp_end - committed >= ruu
-                || (is_mem_arr[disp_end] && lsq_used >= lsq))
+                || (mem_tbl[op_arr[disp_end]] && lsq_used >= lsq))
             && (fetch_blocked || i_fetch >= n || i_fetch - disp_end >= ifq)) {
             int64_t skip_to = -1;
             if (heap_n) skip_to = (int64_t)(heap[0] >> IDX_BITS);
@@ -454,6 +485,114 @@ done:
     out_d[D_MISS_M2] = miss_m2;
     return err;
 }
+
+/* Pre-decode (see repro.isa.predecode): each source's last writer, each
+   load's youngest older same-address store, and the reverse dependence
+   edges in CSR form. cons_flat has room for 2n edges; returns the number
+   of edges, or -1 when scratch allocation fails. */
+int64_t predecode(
+    int64_t n, const uint8_t *op_arr, const int16_t *dest_arr,
+    const int16_t *src1_arr, const int16_t *src2_arr,
+    const uint32_t *addr_arr, const uint8_t *mem_tbl,
+    int32_t *dep1_arr, int32_t *dep2_arr, int32_t *fwd_arr,
+    int32_t *cons_start, int32_t *cons_flat)
+{
+    /* Open-addressed store-address -> youngest-store table, at most half
+       full, so every probe ends at the key or an empty slot. */
+    int64_t n_stores = 0;
+    for (int64_t i = 0; i < n; i++) n_stores += mem_tbl[op_arr[i]] == MEM_STORE;
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * n_stores) bits++;
+    const uint64_t hmask = ((uint64_t)1 << bits) - 1;
+    /* One scratch block: the last writers and each slot's store index
+       (all -1: no writer, empty slot), then each slot's address. */
+    const size_t n_init = N_REGS + hmask + 1;
+    int32_t *last_writer = (int32_t *)malloc(sizeof(int32_t) * (n_init + hmask + 1));
+    if (!last_writer) return -1;
+    memset(last_writer, 0xff, sizeof(int32_t) * n_init);
+    int32_t *vals = last_writer + N_REGS;
+    uint32_t *keys = (uint32_t *)(vals + hmask + 1);
+    memset(cons_start, 0, sizeof(int32_t) * (size_t)(n + 1));
+
+    int64_t n_edges = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t d1 = src1_arr[i] >= 0 ? last_writer[src1_arr[i]] : -1;
+        int32_t d2 = src2_arr[i] >= 0 ? last_writer[src2_arr[i]] : -1;
+        dep1_arr[i] = d1;
+        dep2_arr[i] = d2;
+        if (d1 >= 0) { cons_start[d1]++; n_edges++; }
+        if (d2 >= 0) { cons_start[d2]++; n_edges++; }
+        if (dest_arr[i] >= 0) last_writer[dest_arr[i]] = (int32_t)i;
+        int32_t fwd = -1;
+        uint8_t mem = mem_tbl[op_arr[i]];
+        if (mem) {
+            uint32_t a = addr_arr[i];
+            uint64_t h = ((uint64_t)a * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+            while (vals[h] >= 0 && keys[h] != a) h = (h + 1) & hmask;
+            if (mem == MEM_LOAD) {
+                fwd = vals[h];
+            } else {
+                keys[h] = a;
+                vals[h] = (int32_t)i;
+            }
+        }
+        fwd_arr[i] = fwd;
+    }
+    free(last_writer);
+
+    /* Counting sort by producer, consumers in program order: the order
+       the reference appends to its per-entry consumer lists. A consumer
+       reading one register twice appears twice. cons_start[d] first
+       holds d's count, then its first slot, then (as the fill cursor)
+       its end, and is shifted back to d's first slot at the end. */
+    int32_t acc = 0;
+    for (int64_t d = 0; d < n; d++) {
+        int32_t count = cons_start[d];
+        cons_start[d] = acc;
+        acc += count;
+    }
+    cons_start[n] = acc;
+    for (int64_t i = 0; i < n; i++) {
+        if (dep1_arr[i] >= 0) cons_flat[cons_start[dep1_arr[i]]++] = (int32_t)i;
+        if (dep2_arr[i] >= 0) cons_flat[cons_start[dep2_arr[i]]++] = (int32_t)i;
+    }
+    for (int64_t d = n; d > 0; d--) cons_start[d] = cons_start[d - 1];
+    cons_start[0] = 0;
+    return n_edges;
+}
+
+/* A fresh bimod table of n_entries 2-bit counters over the whole trace,
+   exactly repro.cpu.branch.mispredict_flags: flags[i] = 1 iff i is a
+   mispredicted branch; next_mp[i] = the smallest j >= i with flags[j]
+   set, or n. Returns the number of mispredicts, or -1 when the table
+   cannot be allocated. */
+int64_t bimod_stream(
+    int64_t n, const uint32_t *pc_arr, const uint8_t *op_arr,
+    const uint8_t *taken_arr, int64_t n_entries,
+    uint8_t *flags, int32_t *next_mp)
+{
+    uint8_t *table = (uint8_t *)malloc((size_t)n_entries);
+    if (!table) return -1;
+    memset(table, 2, (size_t)n_entries);  /* weakly taken */
+    const uint32_t mask = (uint32_t)(n_entries - 1);
+    int64_t n_mis = 0;
+    for (int64_t i = 0; i < n; i++) {
+        flags[i] = 0;
+        if (op_arr[i] != OP_BRANCH) continue;
+        uint8_t *counter = &table[(pc_arr[i] >> 3) & mask];
+        int taken = taken_arr[i] != 0;
+        if ((*counter >= 2) != taken) { flags[i] = 1; n_mis++; }
+        if (taken) { if (*counter < 3) (*counter)++; }
+        else if (*counter > 0) (*counter)--;
+    }
+    free(table);
+    int32_t next = (int32_t)n;
+    for (int64_t i = n - 1; i >= 0; i--) {
+        if (flags[i]) next = (int32_t)i;
+        next_mp[i] = next;
+    }
+    return n_mis;
+}
 """
 
 _LOAD_CB = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_uint32, ctypes.c_int64)
@@ -483,7 +622,7 @@ def _cache_dir() -> Path:
     return Path(base) / "repro"
 
 
-def _build() -> ctypes._CFuncPtr | None:
+def _build() -> ctypes.CDLL | None:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
@@ -507,18 +646,28 @@ def _build() -> ctypes._CFuncPtr | None:
                 return None
             os.replace(built, so_path)
     lib = ctypes.CDLL(str(so_path))
-    fn = lib.run_core
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p] * 21 + [
-        _LOAD_CB,
-        _STORE_CB,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-    ]
-    return fn
+    # Array parameters accept only contiguous arrays of their C type.
+    b, u8, i16, i32, u32, i64, u64, f64 = (
+        np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+        for t in (np.bool_, np.uint8, np.int16, np.int32, np.uint32)
+        + (np.int64, np.uint64, np.float64)
+    )
+    n = ctypes.c_int64
+    for fn, argtypes in (
+        (
+            lib.run_core,
+            [i64, u8, u8, i32, u8, i32, u32, u32, i32, i32, u8, i32, i32, i32]
+            + [i32, i64, u32, u32, u64, i64, _LOAD_CB, _STORE_CB, i64, f64],
+        ),
+        (lib.predecode, [n, u8, i16, i16, i16, u32, u8, i32, i32, i32, i32, i32]),
+        (lib.bimod_stream, [n, u32, u8, b, n, u8, i32]),
+    ):
+        fn.restype = ctypes.c_int64
+        fn.argtypes = argtypes
+    return lib
 
 
-def _get_kernel():
+def _get_kernel() -> ctypes.CDLL | None:
     global _KERNEL, _TRIED
     if not _TRIED:
         _TRIED = True
@@ -532,6 +681,63 @@ def _get_kernel():
 def kernel_available() -> bool:
     """True when the compiled loop is usable in this process."""
     return _get_kernel() is not None
+
+
+def _require_kernel() -> ctypes.CDLL:
+    if (lib := _get_kernel()) is None:
+        raise ConfigurationError(
+            "pre-decode needs the compiled kernel: no C compiler on this "
+            "host, or its build failed"
+        )
+    return lib
+
+
+# ---- pre-decode ---------------------------------------------------------------
+
+
+def predecode_columns(trace) -> tuple[np.ndarray, ...]:
+    """``(dep1, dep2, cons_start, cons_flat, fwd)`` of *trace*, filled in C.
+
+    Every column is a contiguous ``int32`` array; ``cons_flat`` holds
+    exactly the edge count. Raises :class:`ConfigurationError` when the
+    kernel is unavailable.
+    """
+    lib = _require_kernel()
+    n = len(trace)
+    if 2 * n >= 1 << 31:
+        raise TraceError(f"{n} instructions overflow the int32 pre-decode columns")
+    dep1, dep2, fwd = (np.empty(n, dtype=np.int32) for _ in range(3))
+    cons_start = np.empty(n + 1, dtype=np.int32)
+    cons_flat = np.empty(2 * n, dtype=np.int32)  # at most two edges each
+    n_edges = lib.predecode(
+        n, trace.op, trace.dest, trace.src1, trace.src2, trace.addr, _OP_MEM,
+        dep1, dep2, fwd, cons_start, cons_flat,
+    )
+    if n_edges < 0:
+        raise MemoryError("pre-decode scratch allocation failed")
+    cons_flat.resize(n_edges, refcheck=False)  # shrinks in place
+    return dep1, dep2, cons_start, cons_flat, fwd
+
+
+def bimod_columns(trace, n_entries: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """A fresh *n_entries*-counter bimod stream over *trace*, filled in C.
+
+    Returns the fields of :class:`repro.isa.predecode.BimodStream`. Raises
+    :class:`ConfigurationError` when the kernel is unavailable or
+    *n_entries* is not a power of two (the C code masks with it).
+    """
+    lib = _require_kernel()
+    if not is_pow2(n_entries):
+        raise ConfigurationError("predictor table size must be a power of two")
+    n = len(trace)
+    flags = np.empty(n, dtype=np.uint8)
+    next_mp = np.empty(n, dtype=np.int32)
+    n_mispredicts = lib.bimod_stream(
+        n, trace.pc, trace.op, trace.taken, n_entries, flags, next_mp
+    )
+    if n_mispredicts < 0:
+        raise MemoryError("bimod table allocation failed")
+    return flags, next_mp, trace.n_branches, n_mispredicts
 
 
 # ---- invocation ---------------------------------------------------------------
@@ -563,29 +769,6 @@ class Tallies(NamedTuple):
     bp_mispredicts: int
 
 
-def _c_columns(trace, pre) -> dict:
-    """The kernel's trace-derived input columns (cached on *pre*).
-
-    *pre*'s own columns already have the kernel's dtypes, and so do a
-    trace's ``addr``/``value`` (uint32), which pass through uncopied.
-    Only the columns derived from the op class are built here.
-    """
-    cols = pre.c_cols
-    if cols is None:
-        is_load = trace.load_mask.view(np.uint8)
-        is_store = trace.store_mask.view(np.uint8)
-        cols = pre.c_cols = {
-            "is_load": is_load,
-            "lat": _LATENCY32[trace.op],
-            "is_mem": is_load | is_store,
-            "kind": is_load + 2 * is_store,
-            "addr": np.ascontiguousarray(trace.addr, dtype=np.uint32),
-            "value": np.ascontiguousarray(trace.value, dtype=np.uint32),
-            "n_stores": int(np.count_nonzero(is_store)),
-        }
-    return cols
-
-
 def run_compiled(trace, pre, cfg, l1):
     """Run the compiled loop; returns :class:`Tallies` or ``None``.
 
@@ -596,12 +779,11 @@ def run_compiled(trace, pre, cfg, l1):
     raise :class:`TraceError` exactly like the reference; exceptions
     from the cache model propagate unchanged.
     """
-    fn = _get_kernel()
+    lib = _get_kernel()
     n = len(trace)
-    if fn is None or l1.line_words > 32 or n >= 1 << _IDX_BITS:
+    if lib is None or l1.line_words > 32 or n >= 1 << _IDX_BITS:
         return None
 
-    cols = _c_columns(trace, pre)
     bp = pre.bimod_outcomes(trace, cfg.bimod_entries)
     fu_limits = FuPool(cfg.fu)._limits
     hard_limit = 2_000 * n + 1_000_000  # the reference core's deadlock bound
@@ -617,7 +799,7 @@ def run_compiled(trace, pre, cfg, l1):
     mru_line = np.full(n_sets, -1, dtype=np.int64)
     mru_pa = np.zeros(n_sets, dtype=np.uint32)
     mru_vcp = np.zeros(n_sets, dtype=np.uint32)
-    journal = np.zeros(cols["n_stores"] + 1, dtype=np.uint64)
+    journal = np.zeros(trace.n_stores + 1, dtype=np.uint64)
     journal_n = np.zeros(1, dtype=np.int64)
     exc: list[BaseException] = []
     load_word = l1.load_word
@@ -734,32 +916,11 @@ def run_compiled(trace, pre, cfg, l1):
 
     load_cb = _LOAD_CB(_on_load)
     store_cb = _STORE_CB(_on_store)
-    fn(
-        params.ctypes.data,
-        pre.slot.ctypes.data,
-        cols["is_load"].ctypes.data,
-        pre.fwd.ctypes.data,
-        cols["addr"].ctypes.data,
-        cols["value"].ctypes.data,
-        cols["lat"].ctypes.data,
-        pre.dep1.ctypes.data,
-        pre.dep2.ctypes.data,
-        cols["is_mem"].ctypes.data,
-        cols["kind"].ctypes.data,
-        bp.flags.ctypes.data,
-        bp.next_mp.ctypes.data,
-        pre.cons_start.ctypes.data,
-        pre.cons_flat.ctypes.data,
-        fu_arr.ctypes.data,
-        mru_line.ctypes.data,
-        mru_pa.ctypes.data,
-        mru_vcp.ctypes.data,
-        journal.ctypes.data,
-        journal_n.ctypes.data,
-        load_cb,
-        store_cb,
-        out_i.ctypes.data,
-        out_d.ctypes.data,
+    lib.run_core(
+        params, trace.op, _OP_SLOT, _OP_LATENCY, _OP_MEM, pre.fwd,
+        trace.addr, trace.value, pre.dep1, pre.dep2, bp.flags, bp.next_mp,
+        pre.cons_start, pre.cons_flat, fu_arr, mru_line, mru_pa, mru_vcp,
+        journal, journal_n, load_cb, store_cb, out_i, out_d,
     )
     _drain()
 

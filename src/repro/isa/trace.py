@@ -3,7 +3,7 @@
 A :class:`Trace` stores one NumPy column per instruction field. The CPU
 model iterates it with plain integer indexing (cheap), while analyses
 (Figure 3 compressibility, footprint statistics) operate on whole columns
-vectorized.
+vectorized. The ``fast`` backend's C code reads the columns in place.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ __all__ = ["Trace", "TraceBuilder", "TraceHot"]
 
 _MAX_REG = 32767  # dest/src columns are int16
 
+#: Each column's dtype, as a :class:`Trace` holds it, in argument order.
+_DTYPES = dict(
+    pc=np.uint32, op=np.uint8, dest=np.int16, src1=np.int16, src2=np.int16,
+    addr=np.uint32, value=np.uint32, taken=np.bool_,
+)
+
 #: Execution latency indexed by op-class code (the reference loop's hot
-#: views and the compiled kernel's ``lat`` column).
+#: views and the compiled kernel's per-op latency table).
 _LATENCY_TABLE = np.array(
     [EXEC_LATENCY[OpClass(code)] for code in range(max(OpClass) + 1)],
     dtype=np.int64,
@@ -90,8 +96,22 @@ class TraceHot:
         self.bp: dict[int, tuple[list[bool], int, int]] = {}
 
 
+def _check_range(col: np.ndarray, lo: int, hi: int, what: str) -> None:
+    """Raise :class:`TraceError` unless every value of *col* is in lo..hi."""
+    col = np.asarray(col)
+    if len(col) and (col.min() < lo or col.max() > hi):
+        bad = col[(col < lo) | (col > hi)][0]
+        raise TraceError(f"{what} {bad} out of range {lo}..{hi}")
+
+
 class Trace:
-    """An immutable columnar sequence of dynamic instructions."""
+    """An immutable columnar sequence of dynamic instructions.
+
+    Every column is held contiguous in one fixed dtype: ``uint32`` pc,
+    addr and value, ``uint8`` op, ``int16`` registers, ``bool`` taken.
+    Register ids outside ``NO_REG..32767`` and op codes above
+    ``max(OpClass)`` raise :class:`TraceError` before any cast.
+    """
 
     __slots__ = (
         "pc",
@@ -105,7 +125,6 @@ class Trace:
         "name",
         "_hot",
         "_predecoded",
-        "_predecode_path",
     )
 
     def __init__(
@@ -121,32 +140,21 @@ class Trace:
         taken: np.ndarray,
         name: str = "",
     ) -> None:
+        columns = (pc, op, dest, src1, src2, addr, value, taken)
         n = len(pc)
-        for col_name, col in (
-            ("op", op),
-            ("dest", dest),
-            ("src1", src1),
-            ("src2", src2),
-            ("addr", addr),
-            ("value", value),
-            ("taken", taken),
-        ):
+        for col_name, col in zip(_DTYPES, columns):
             if len(col) != n:
                 raise TraceError(f"column {col_name!r} length {len(col)} != {n}")
-        self.pc = pc
-        self.op = op
-        self.dest = dest
-        self.src1 = src1
-        self.src2 = src2
-        self.addr = addr
-        self.value = value
-        self.taken = taken
+        for col_name, col in (("dest", dest), ("src1", src1), ("src2", src2)):
+            _check_range(col, NO_REG, _MAX_REG, f"{col_name} register id")
+        _check_range(op, 0, max(OpClass), "op class code")
+        for (col_name, dtype), col in zip(_DTYPES.items(), columns):
+            setattr(self, col_name, np.ascontiguousarray(col, dtype=dtype))
         self.name = name
         self._hot: TraceHot | None = None
-        #: Fast-backend pre-decode memo + optional on-disk sidecar path
-        #: (managed by repro.isa.predecode; None until first use).
+        #: Fast-backend pre-decode memo (managed by repro.isa.predecode;
+        #: None until first use).
         self._predecoded = None
-        self._predecode_path = None
 
     def hot(self) -> TraceHot:
         """Native-list views of all columns (cached; see :class:`TraceHot`)."""
@@ -235,8 +243,6 @@ class Trace:
         """Check structural invariants; raises :class:`TraceError` on failure."""
         if np.any(self.addr[self.mem_mask] & 3):
             raise TraceError("unaligned memory access address in trace")
-        if np.any(self.op > np.uint8(max(OpClass))):
-            raise TraceError("invalid op class code in trace")
         non_mem = ~self.mem_mask
         if np.any(self.addr[non_mem] != 0):
             raise TraceError("non-memory instruction carries an address")

@@ -1,9 +1,10 @@
 """The ``fast`` path keeps no per-instruction Python lists.
 
-The compiled kernel reads NumPy columns only. Building the reference
-loop's list views (:class:`~repro.isa.trace.TraceHot`) or keeping the
-pre-decode as lists costs hundreds of bytes per instruction and
-cyclic-GC passes over them, so neither may happen on a kernel run.
+The compiled kernel reads NumPy columns only: the trace's own, in
+place, and the pre-decode's. Building the reference loop's list views
+(:class:`~repro.isa.trace.TraceHot`) or keeping the pre-decode as lists
+costs hundreds of bytes per instruction and cyclic-GC passes over them,
+so neither may happen on a kernel run.
 The two loops cache the bimod stream separately; running one program
 on both, in either order, must still give the same results.
 """
@@ -26,14 +27,16 @@ pytestmark = pytest.mark.skipif(
 WORKLOAD = "olden.treeadd"
 SCALE = 0.1
 
-#: Kernel input column -> the element type of its C parameter.
-C_COLUMN_DTYPES = {
-    "is_load": np.uint8,
-    "lat": np.int32,
-    "is_mem": np.uint8,
-    "kind": np.uint8,
+#: Trace column the C code reads in place -> its C parameter's type.
+C_TRACE_DTYPES = {
+    "pc": np.uint32,
+    "op": np.uint8,
+    "dest": np.int16,
+    "src1": np.int16,
+    "src2": np.int16,
     "addr": np.uint32,
     "value": np.uint32,
+    "taken": np.bool_,
 }
 
 
@@ -51,14 +54,14 @@ def test_kernel_run_keeps_only_arrays(config):
     # The reference core would have built TraceHot: the kernel ran.
     assert trace._hot is None
     pre = trace._predecoded
-    for name in ("dep1", "dep2", "cons_start", "cons_flat", "fwd", "slot"):
+    for name in ("dep1", "dep2", "cons_start", "cons_flat", "fwd"):
         assert isinstance(getattr(pre, name), np.ndarray), name
     assert pre.bp
     for stream in pre.bp.values():
         assert isinstance(stream.flags, np.ndarray)
         assert isinstance(stream.next_mp, np.ndarray)
-    for name, dtype in C_COLUMN_DTYPES.items():
-        col = pre.c_cols[name]
+    for name, dtype in C_TRACE_DTYPES.items():
+        col = getattr(trace, name)
         assert col.dtype == dtype and col.flags["C_CONTIGUOUS"], name
 
 

@@ -145,3 +145,56 @@ class TestTraceViews:
                 value=np.zeros(2, dtype=np.uint32),
                 taken=np.zeros(2, dtype=bool),
             )
+
+
+def _columns(n: int, **overrides) -> dict:
+    cols = {
+        "pc": np.arange(n, dtype=np.uint32) * 4,
+        "op": np.full(n, int(OpClass.IALU), dtype=np.uint8),
+        "dest": np.full(n, 1, dtype=np.int16),
+        "src1": np.full(n, NO_REG, dtype=np.int16),
+        "src2": np.full(n, NO_REG, dtype=np.int16),
+        "addr": np.zeros(n, dtype=np.uint32),
+        "value": np.zeros(n, dtype=np.uint32),
+        "taken": np.zeros(n, dtype=bool),
+    }
+    cols.update(overrides)
+    return cols
+
+
+class TestTraceConstruction:
+    @pytest.mark.parametrize("column", ["dest", "src1", "src2"])
+    @pytest.mark.parametrize("reg", [40000, 32768, -2, -40000])
+    def test_register_ids_the_cores_cannot_index_are_rejected(self, column, reg):
+        # Every core keeps a 32768-entry table per register id: a wider
+        # column must not pass in an id that indexes past it.
+        col = np.array([1, reg, 2], dtype=np.int32)
+        with pytest.raises(TraceError, match="register id"):
+            Trace(**_columns(3, **{column: col}))
+
+    @pytest.mark.parametrize("code", [max(OpClass) + 1, 255, -1])
+    def test_unknown_op_codes_are_rejected(self, code):
+        op = np.array([int(OpClass.IALU), code], dtype=np.int32)
+        with pytest.raises(TraceError, match="op class code"):
+            Trace(**_columns(2, op=op))
+
+    def test_wider_columns_are_held_in_the_trace_dtypes(self):
+        cols = _columns(
+            3,
+            op=np.array([0, 1, max(OpClass)], dtype=np.int64),
+            dest=np.array([NO_REG, 0, 32767], dtype=np.int32),
+            src1=np.array([32767, NO_REG, 0], dtype=np.int64),
+            pc=np.array([0, 4, 8], dtype=np.int64),
+        )
+        trace = Trace(**cols)
+        for name, dtype in (("op", np.uint8), ("dest", np.int16), ("pc", np.uint32)):
+            col = getattr(trace, name)
+            assert col.dtype == dtype and col.flags["C_CONTIGUOUS"], name
+        assert trace.dest.tolist() == [NO_REG, 0, 32767]
+        assert trace.src1.tolist() == [32767, NO_REG, 0]
+        assert trace.src2.dtype == np.int16
+
+    def test_empty_trace_is_valid(self):
+        trace = Trace(**_columns(0))
+        trace.validate()
+        assert len(trace) == 0

@@ -54,7 +54,7 @@ SEED = 1
 #: olden.health is the pointer-chaser that keeps the fast backend honest
 #: on irregular access streams.
 WORKLOADS = {"spec95.130.li": 0.3, "olden.health": 0.5}
-CONFIGS = ("BC", "CPP")
+CONFIGS = ("BC", "BCP", "CPP")
 BACKENDS = BACKEND_NAMES  # ("reference", "fast")
 
 
