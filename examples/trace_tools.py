@@ -4,8 +4,7 @@
 Shows the toolkit around the simulator itself:
 
 * persist a generated trace as a ``.npz`` archive and reload it;
-* classify every accessed value under the paper's prefix scheme *and*
-  under a profiled frequent-value table (related work [6]);
+* classify every accessed value under the paper's prefix scheme;
 * break the trace's misses into compulsory/capacity/conflict for the
   paper's L1 geometry (the §4.3 "conflict misses dominant" predicate).
 
@@ -16,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.breakdown import classify_misses
-from repro.compression.frequent import profile_frequent_values
 from repro.compression.vectorized import compression_summary
 from repro.isa.traceio import load_trace, save_trace
 from repro.utils.tables import format_table
@@ -37,19 +35,14 @@ def main() -> None:
             trace = load_trace(path)
             assert len(trace) == len(program.trace)
 
-            # -- value classification: prefix scheme vs profiled FVC --------
+            # -- value classification under the prefix scheme ---------------
             prefix = compression_summary(*trace.accessed_values())
-            fvc = compression_summary(
-                *trace.accessed_values(),
-                profile_frequent_values(trace, top_n=256),
-            )
             rows_values.append(
                 [
                     name,
                     len(trace),
                     f"{path.stat().st_size / 1024:.0f} KB",
                     f"{prefix.fraction_compressible:.1%}",
-                    f"{fvc.fraction_compressible:.1%}",
                 ]
             )
 
@@ -68,7 +61,7 @@ def main() -> None:
 
     print(
         format_table(
-            ["workload", "instructions", ".npz size", "prefix comp.", "FVC-256 comp."],
+            ["workload", "instructions", ".npz size", "prefix comp."],
             rows_values,
             title="Trace persistence + value classification",
         )

@@ -216,69 +216,16 @@ def build_cpp(memory: MainMemory, params: HierarchyParams | None = None) -> Hier
     return Hierarchy("CPP", l1, l2, memory, p)
 
 
-def build_bsp(memory: MainMemory, params: HierarchyParams | None = None) -> Hierarchy:
-    """EXTENSION: BC plus Baer-Chen-style stride prefetching.
-
-    Not one of the paper's five configurations — it implements the
-    stronger prefetcher family the paper's related work (§5) points to,
-    so CPP can be compared against it (``bench_extension_stride``).
-    """
-    from repro.caches.stride import StridePrefetchingCache
-
-    p = params or HierarchyParams()
-    l1_cache, l2_cache = _classic_levels(memory, p)
-    l2 = StridePrefetchingCache(l2_cache, p.l2_buffer_entries)
-    l1_cache.downstream = l2
-    l1 = StridePrefetchingCache(l1_cache, p.l1_buffer_entries)
-    return Hierarchy("BSP", l1, l2, memory, p)
-
-
-def build_bvc(memory: MainMemory, params: HierarchyParams | None = None) -> Hierarchy:
-    """EXTENSION: BC plus Jouppi victim caches at both levels.
-
-    Isolates the conflict-miss-relief half of related work [3] (CPP's
-    victim stash plays this role inside the affiliated locations). Uses
-    the same 8-/32-entry budgets as BCP's prefetch buffers.
-    """
-    from repro.caches.victim import VictimAwareCache, VictimCache
-
-    p = params or HierarchyParams()
-    port = MemoryPort(memory, scheme=p.scheme)
-    l2_cache = VictimAwareCache(
-        "L2",
-        size_bytes=p.l2_size,
-        assoc=p.l2_assoc,
-        line_bytes=p.l2_line,
-        hit_latency=p.l2_latency,
-        downstream=port,
-        victim_entries=p.l2_buffer_entries,
-    )
-    l2 = VictimCache(l2_cache)
-    l1_cache = VictimAwareCache(
-        "L1",
-        size_bytes=p.l1_size,
-        assoc=p.l1_assoc,
-        line_bytes=p.l1_line,
-        hit_latency=p.l1_latency,
-        downstream=l2,
-        victim_entries=p.l1_buffer_entries,
-    )
-    l1 = VictimCache(l1_cache)
-    return Hierarchy("BVC", l1, l2, memory, p)
-
-
 HIERARCHY_BUILDERS = {
     "BC": build_bc,
     "BCC": build_bcc,
     "HAC": build_hac,
     "BCP": build_bcp,
     "CPP": build_cpp,
-    "BSP": build_bsp,  # extension, see build_bsp
-    "BVC": build_bvc,  # extension, see build_bvc
 }
 
-#: The paper's five evaluated configurations (BSP is an extension).
-CONFIG_NAMES = ("BC", "BCC", "HAC", "BCP", "CPP")
+#: The paper's five evaluated configurations.
+CONFIG_NAMES = tuple(HIERARCHY_BUILDERS)
 
 
 def build_hierarchy(

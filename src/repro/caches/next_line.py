@@ -66,12 +66,8 @@ class PrefetchingCache:
     def hit_latency(self) -> int:
         return self.cache.hit_latency
 
-    def _issue_prefetch(self, missed_line_no: int, now: int) -> None:
-        """Prefetch the next sequential line into the buffer."""
-        self._prefetch(missed_line_no + 1, now)
-
-    def _prefetch(self, target: int, now: int) -> bool:
-        """Bring line *target* into the buffer; True when a prefetch issued.
+    def _prefetch(self, target: int, now: int) -> None:
+        """Bring line *target* into the buffer unless it is already on chip.
 
         The prefetched line is read *through* the levels below via
         :meth:`supply_prefetch` without being installed in any cache:
@@ -87,13 +83,13 @@ class PrefetchingCache:
         """
         target_addr = self.cache.line_addr(target)
         if self.cache.probe(target_addr) or target in self.buffer:
-            return False
+            return
         try:
             values, latency = self.cache.downstream.supply_prefetch(
                 target_addr, self.cache.line_words, now
             )
         except UnmappedAddressError:
-            return False
+            return
         self.buffer.insert(target, values, ready_cycle=now + latency)
         self.stats.prefetches_issued += 1
         if _trace.ACTIVE:
@@ -103,7 +99,6 @@ class PrefetchingCache:
                 line=target,
                 ready_cycle=now + latency,
             )
-        return True
 
     # ---- CPU-facing role (BCP L1) ------------------------------------------------
 
@@ -118,7 +113,7 @@ class PrefetchingCache:
         if entry is not None:
             self.cache.install_line(line_no, entry.data)
             result = self.cache.access(addr, write=write, value=value, now=now)
-            self._issue_prefetch(line_no, now)  # tagged re-arm
+            self._prefetch(line_no + 1, now)  # tagged re-arm
             if entry.ready(now):
                 # Found in the buffer: a hit at hit latency (paper §4.4).
                 self.stats.buffer_hits += 1
@@ -138,7 +133,7 @@ class PrefetchingCache:
                 latency=remaining, served_by="l1-buffer-late", value=result.value
             )
         result = self.cache.access(addr, write=write, value=value, now=now)
-        self._issue_prefetch(line_no, now)
+        self._prefetch(line_no + 1, now)
         return result
 
     # ---- word-ops (fast backend) --------------------------------------------------
@@ -199,7 +194,7 @@ class PrefetchingCache:
             resp = self.cache.fetch(
                 addr, n_words, need_word, kind=kind, record=False, now=now
             )
-            self._issue_prefetch(line_no, now)  # tagged re-arm
+            self._prefetch(line_no + 1, now)  # tagged re-arm
             if entry.ready(now):
                 self.stats.record_access(hit=True)
                 self.stats.buffer_hits += 1
@@ -222,7 +217,7 @@ class PrefetchingCache:
                 served_by="l2-buffer-late",
             )
         resp = self.cache.fetch(addr, n_words, need_word, kind=kind, now=now)
-        self._issue_prefetch(line_no, now)
+        self._prefetch(line_no + 1, now)
         return resp
 
     def supply_prefetch(self, addr: int, n_words: int, now: int = 0):

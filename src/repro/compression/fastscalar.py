@@ -9,8 +9,8 @@ hot paths use a closure built here instead.
 :func:`compressibility_fn` specializes on the scheme once per cache
 instance: for the paper's prefix scheme it inlines the small-value and
 pointer tests as three int comparisons; any duck-typed scheme (e.g.
-:class:`~repro.compression.frequent.FrequentValueScheme`) falls back to
-its own ``is_compressible``. Both paths are bit-identical to
+FPC's word scheme, :class:`~repro.compression.codecs.fpc.FPCWordScheme`)
+falls back to its own ``is_compressible``. Both paths are bit-identical to
 ``scheme.is_compressible`` (property-tested against the vectorized
 classifier in ``tests/compression/test_vectorized.py``).
 """

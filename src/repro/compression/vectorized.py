@@ -32,7 +32,7 @@ def classify_words(
 
     Small-value classification wins over pointer classification for words
     passing both tests, matching the scalar scheme. Alternative schemes
-    (e.g. frequent-value compression) plug in through a
+    (e.g. FPC's word scheme) plug in through a
     ``mask_compressible`` hook; their compressible words are reported as
     ``SMALL`` since they carry no small/pointer distinction.
     """

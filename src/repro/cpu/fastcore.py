@@ -32,17 +32,15 @@ the end — counter addition is order-free.
 Whatever the kernel cannot run faithfully goes to the reference core
 wholesale, sharing this core's predictor so the handoff is seamless: no
 C compiler, load verification, event tracing, the i-cache model, a warm
-(reused) predictor, ``REPRO_CHECK`` audits, or an L1 without the
-word-op contract (the BSP/BVC extension configurations).
+(reused) predictor, or ``REPRO_CHECK`` audits. Every L1 that
+:func:`~repro.caches.hierarchy.build_hierarchy` returns has the word-ops
+the kernel drives.
 """
 
 from __future__ import annotations
 
-from repro.caches.base import Cache
-from repro.caches.compression_cache import CompressionCache
 from repro.caches.hierarchy import Hierarchy
 from repro.caches.interface import SERVED_BY_CODES
-from repro.caches.next_line import PrefetchingCache
 from repro.check.runtime import runtime_checks_enabled
 from repro.cpu import ckernel
 from repro.cpu.branch import BimodPredictor
@@ -53,17 +51,6 @@ from repro.isa.trace import Trace
 from repro.obs import tracer as _trace
 
 __all__ = ["FastCore"]
-
-
-def _has_word_ops(l1) -> bool:
-    """True when *l1* implements the uncounted-MRU-hit word-op contract.
-
-    Only the exact base classes (and BCP's wrapper over a plain cache)
-    do; subclasses may change what an access observes.
-    """
-    if type(l1) is PrefetchingCache:
-        return type(l1.cache) is Cache
-    return type(l1) in (Cache, CompressionCache)
 
 
 class FastCore:
@@ -94,11 +81,7 @@ class FastCore:
 
     def _kernel_can_run(self) -> bool:
         """True when the compiled loop can drive this hierarchy's L1."""
-        return (
-            _has_word_ops(self.hierarchy.l1)
-            and not runtime_checks_enabled()
-            and ckernel.kernel_available()
-        )
+        return not runtime_checks_enabled() and ckernel.kernel_available()
 
     def _run_reference(self, trace: Trace) -> CoreResult:
         core = OutOfOrderCore(

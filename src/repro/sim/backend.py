@@ -11,10 +11,9 @@ Two backends execute a program on a hierarchy:
   compressibility probes against a whole-image table
   (:mod:`repro.compression.comptable`). Replays the golden cells
   bit-for-bit and runs ``reference`` instead whenever the kernel cannot
-  run a cell faithfully: no C compiler, an observation hook (tracing,
+  run a cell faithfully: no C compiler, or an observation hook (tracing,
   ``REPRO_CHECK`` audits, load verification, a warm predictor, the
-  i-cache model), or an L1 without word-ops (the BSP and BVC extension
-  configurations).
+  i-cache model).
 
 Selection precedence: an explicit ``SimConfig.backend`` beats the
 ``REPRO_BACKEND`` environment variable, which beats the default

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.caches.hierarchy import CONFIG_NAMES as _PAPER_CONFIGS
-from repro.caches.hierarchy import HIERARCHY_BUILDERS as _ALL_BUILDERS
-from repro.caches.hierarchy import HierarchyParams
+from repro.caches.hierarchy import CONFIG_NAMES, HierarchyParams
 from repro.compression.codecs import CODEC_NAMES, DEFAULT_CODEC
 from repro.cpu.pipeline import CoreConfig
 from repro.errors import ConfigurationError
@@ -48,10 +46,10 @@ class SimConfig:
     codec: str = ""
 
     def __post_init__(self) -> None:
-        if self.cache_config.upper() not in _ALL_BUILDERS:
+        if self.cache_config.upper() not in CONFIG_NAMES:
             raise ConfigurationError(
                 f"unknown cache config {self.cache_config!r}; "
-                f"choose from {tuple(_ALL_BUILDERS)}"
+                f"choose from {CONFIG_NAMES}"
             )
         if self.backend and self.backend not in BACKEND_NAMES:
             raise ConfigurationError(
@@ -110,7 +108,5 @@ class SimConfig:
 
 
 SIM_CONFIGS: dict[str, SimConfig] = {
-    name: SimConfig(cache_config=name) for name in _PAPER_CONFIGS
+    name: SimConfig(cache_config=name) for name in CONFIG_NAMES
 }
-
-CONFIG_NAMES = tuple(SIM_CONFIGS)

@@ -1,21 +1,13 @@
-"""Eviction/replacement edge cases of the prefetch and victim buffers.
+"""Eviction/replacement edge cases of the prefetch buffer.
 
 Covers the corners the basic suites skip: inserts into a full buffer,
 duplicate-tag probes and re-inserts (which must refresh, not evict),
-and flush/drain behaviour including repeated flushes.
+and clearing a buffer.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.caches.prefetch_buffer import PrefetchBuffer
-from repro.caches.victim import VictimBuffer
-from repro.errors import ConfigurationError
-
-from tests.caches.test_victim import make_victim_l1
-
-BASE = 0x1000_0000
 
 
 def _line(fill: int, words: int = 16) -> list[int]:
@@ -75,107 +67,3 @@ class TestPrefetchBufferFull:
         assert buf.inserts == 3 and buf.evictions == 1
         buf.insert(7, _line(7))  # reusable after clear
         assert buf.line_numbers() == [7]
-
-
-class TestVictimBufferFull:
-    def test_full_insert_spills_oldest_dirty_only(self):
-        buf = VictimBuffer(2, 16)
-        assert buf.insert(1, _line(1), dirty=True) is None
-        assert buf.insert(2, _line(2), dirty=False) is None
-        spilled = buf.insert(3, _line(3), dirty=True)
-        assert spilled is not None
-        old_no, old = spilled
-        assert old_no == 1 and old.dirty and old.data == _line(1)
-        assert buf.dirty_spills == 1
-
-    def test_duplicate_tag_insert_refreshes_without_spill(self):
-        buf = VictimBuffer(2, 16)
-        buf.insert(1, _line(1), dirty=True)
-        buf.insert(2, _line(2), dirty=True)
-        # Re-inserting a resident tag at capacity replaces in place...
-        assert buf.insert(1, _line(77), dirty=False) is None
-        assert len(buf) == 2
-        assert buf.dirty_spills == 0
-        entry = buf.pop(1)
-        assert entry.data == _line(77) and not entry.dirty
-        # ...and pop consumed it: a duplicate probe now misses.
-        assert 1 not in buf
-        assert buf.pop(1) is None
-
-    def test_wrong_width_rejected(self):
-        buf = VictimBuffer(2, 16)
-        with pytest.raises(ConfigurationError):
-            buf.insert(1, _line(1, words=8), dirty=False)
-
-    def test_drain_returns_dirty_and_empties_all(self):
-        buf = VictimBuffer(4, 16)
-        buf.insert(1, _line(1), dirty=True)
-        buf.insert(2, _line(2), dirty=False)
-        buf.insert(3, _line(3), dirty=True)
-        drained = buf.drain()
-        assert [no for no, _ in drained] == [1, 3]
-        assert all(v.dirty for _, v in drained)
-        assert len(buf) == 0
-        assert buf.drain() == []  # second drain is a no-op
-
-
-class TestVictimCacheFlush:
-    def _fill_conflicting(self, l1, n, *, dirty):
-        """Touch *n* lines that all map to L1 set 0 (512 B direct-mapped)."""
-        for i in range(n):
-            addr = BASE + i * 512
-            if dirty:
-                l1.access(addr, write=True, value=0xA0 + i)
-            else:
-                l1.access(addr)
-
-    def test_flush_drains_buffered_dirty_victims(self):
-        l1, mem = make_victim_l1(entries=2)
-        self._fill_conflicting(l1, 3, dirty=True)
-        # Two dirty victims sit in the buffer, unseen by memory so far.
-        assert len(l1.cache.victim_buffer) == 2
-        writes_before = mem.n_writes
-        l1.flush()
-        assert len(l1.cache.victim_buffer) == 0
-        assert mem.n_writes == writes_before + 3  # 1 resident + 2 buffered
-        assert mem.peek_word(BASE) == 0xA0
-        assert mem.peek_word(BASE + 512) == 0xA1
-        assert mem.peek_word(BASE + 1024) == 0xA2
-
-    def test_flush_of_clean_victims_writes_nothing(self):
-        l1, mem = make_victim_l1(entries=2)
-        self._fill_conflicting(l1, 3, dirty=False)
-        writes_before = mem.n_writes
-        l1.flush()
-        assert mem.n_writes == writes_before
-
-    def test_double_flush_is_idempotent(self):
-        l1, mem = make_victim_l1(entries=2)
-        self._fill_conflicting(l1, 3, dirty=True)
-        l1.flush()
-        writes_after_first = mem.n_writes
-        l1.flush()
-        assert mem.n_writes == writes_after_first
-
-    def test_age_out_chain_reaches_memory_in_order(self):
-        # A 1-entry buffer under a 4-deep conflict chain: each new victim
-        # ages out the previous dirty one, which must land in memory.
-        l1, mem = make_victim_l1(entries=1)
-        self._fill_conflicting(l1, 4, dirty=True)
-        assert mem.peek_word(BASE) == 0xA0
-        assert mem.peek_word(BASE + 512) == 0xA1
-        # The two newest victims are still on chip.
-        assert l1.cache.probe(BASE + 3 * 512)
-        assert (BASE + 2 * 512) >> 6 in l1.cache.victim_buffer
-
-    def test_writeback_into_buffered_line_stays_coherent(self):
-        # An upper-level write-back whose target sits in the victim buffer
-        # must merge into the recovered line, not fork a second copy.
-        l1, mem = make_victim_l1(entries=2)
-        self._fill_conflicting(l1, 2, dirty=True)
-        line_no = BASE >> 6
-        assert line_no in l1.cache.victim_buffer
-        l1.write_back(BASE, [0x55] * 16, (1 << 16) - 1)
-        assert line_no not in l1.cache.victim_buffer
-        l1.flush()
-        assert mem.peek_word(BASE) == 0x55

@@ -14,10 +14,10 @@ class TestAsDict:
 
     def test_extra_keys_are_namespaced(self):
         stats = CacheStats(name="L1")
-        stats.extra["victim_hits"] = 7
+        stats.extra["late_prefetch_hits"] = 7
         d = stats.as_dict()
-        assert d["extra.victim_hits"] == 7
-        assert "victim_hits" not in d
+        assert d["extra.late_prefetch_hits"] == 7
+        assert "late_prefetch_hits" not in d
 
     def test_extra_cannot_shadow_base_counters(self):
         # Regression: a wrapper registering extra["misses"] used to
@@ -38,12 +38,12 @@ class TestPublish:
         stats = CacheStats(name="L1")
         stats.record_access(hit=False)
         stats.affiliated_hits = 3
-        stats.extra["victim_hits"] = 2
+        stats.extra["late_prefetch_hits"] = 2
         stats.publish(reg, workload="olden.mst", config="CPP")
         labels = {"level": "L1", "workload": "olden.mst", "config": "CPP"}
         assert reg.value("cache.accesses", **labels) == 1
         assert reg.value("cache.affiliated_hits", **labels) == 3
-        assert reg.value("cache.extra.victim_hits", **labels) == 2
+        assert reg.value("cache.extra.late_prefetch_hits", **labels) == 2
         assert reg.value("cache.miss_rate", **labels) == 1.0
 
     def test_publish_accumulates_across_runs(self):

@@ -77,9 +77,8 @@ class TestPrefetchOnMiss:
     [
         ("BCP", build_hierarchy),
         ("BCP", build_reference_hierarchy),
-        ("BSP", build_hierarchy),
     ],
-    ids=["BCP-real", "BCP-reference", "BSP-real"],
+    ids=["BCP-real", "BCP-reference"],
 )
 @pytest.mark.parametrize(
     "strict,addr",

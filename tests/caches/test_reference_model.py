@@ -1,6 +1,6 @@
 """Randomized reference-model properties for every hierarchy flavour.
 
-A cache hierarchy, whatever its internals (buffers, victim stores,
+A cache hierarchy, whatever its internals (prefetch buffers,
 compressed frames, partial lines), must be a *transparent* memory: a
 random interleaving of loads and stores observes exactly the values a
 flat address->value map would. These tests drive each configuration with
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.hierarchy import HIERARCHY_BUILDERS, build_hierarchy
+from repro.caches.hierarchy import CONFIG_NAMES, build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.memory.main_memory import MainMemory
 
@@ -21,8 +21,6 @@ from tests.conftest import TINY_PARAMS
 
 BASE = 0x1000_0000
 N_WORDS = 512  # 2 KB region: 4x the tiny L1, equal to the tiny L2
-
-ALL_CONFIGS = sorted(HIERARCHY_BUILDERS)  # includes the extensions
 
 ops = st.lists(
     st.tuples(
@@ -35,7 +33,7 @@ ops = st.lists(
 )
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS)
+@pytest.mark.parametrize("config", CONFIG_NAMES)
 class TestTransparency:
     @given(stream=ops)
     @settings(max_examples=12, deadline=None)

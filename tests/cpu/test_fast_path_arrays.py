@@ -4,7 +4,8 @@ The compiled kernel reads NumPy columns only: the trace's own, in
 place, and the pre-decode's. Building the reference loop's list views
 (:class:`~repro.isa.trace.TraceHot`) or keeping the pre-decode as lists
 costs hundreds of bytes per instruction and cyclic-GC passes over them,
-so neither may happen on a kernel run.
+so neither may happen on a kernel run. Every configuration runs on the
+kernel, so a run that falls back to the reference core fails here.
 The two loops cache the bimod stream separately; running one program
 on both, in either order, must still give the same results.
 """
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cpu import ckernel
-from repro.sim.config import SimConfig
+from repro.sim.config import CONFIG_NAMES, SimConfig
 from repro.sim.machine import Machine
 from repro.sim.results_io import result_to_full_dict
 from repro.workloads.registry import generate
@@ -45,7 +46,7 @@ def _full_dict(program, config, backend):
     return json.loads(json.dumps(result_to_full_dict(result)))
 
 
-@pytest.mark.parametrize("config", ["BC", "BCP", "CPP"])
+@pytest.mark.parametrize("config", CONFIG_NAMES)
 def test_kernel_run_keeps_only_arrays(config):
     program = generate(WORKLOAD, seed=1, scale=SCALE)
     _full_dict(program, config, "fast")

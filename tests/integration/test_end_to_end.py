@@ -11,7 +11,8 @@ Two strong properties over real workload traces:
 
 import pytest
 
-from repro.caches.hierarchy import build_hierarchy
+from repro.caches.hierarchy import HierarchyParams, build_hierarchy
+from repro.compression.codecs import get_codec
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.memory.main_memory import MainMemory
 from repro.sim.config import CONFIG_NAMES, SimConfig
@@ -62,3 +63,20 @@ def test_all_configs_agree_on_committed_work(programs, workload):
     assert committed == {len(program.trace)}
     mispredicts = {r.branch_mispredicts for r in results.values()}
     assert len(mispredicts) == 1  # the predictor sees the same stream
+
+
+def test_cpp_runs_verified_with_fpc_word_scheme():
+    """The whole CPP machinery works unchanged over a compressibility
+    predicate other than the paper's prefix scheme."""
+    program = generate("spec95.130.li", seed=1, scale=0.15)
+    config = SimConfig(
+        cache_config="CPP",
+        hierarchy=HierarchyParams(scheme=get_codec("fpc").word_scheme),
+    )
+    memory = MainMemory(latency=config.effective_memory_latency())
+    hierarchy = build_hierarchy("CPP", memory, config.effective_hierarchy())
+    OutOfOrderCore(hierarchy, config.core, verify_loads=True).run(program.trace)
+    hierarchy.check_invariants()
+    hierarchy.flush()
+    assert memory.image == program.final_image
+    assert hierarchy.l1_stats.prefetched_words > 0  # FPC-driven prefetch

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.caches.hierarchy import build_hierarchy
-from repro.cpu.fastcore import FastCore, _has_word_ops
+from repro.cpu.fastcore import FastCore
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.errors import ConfigurationError, UsageError
-from repro.memory.main_memory import MainMemory
 from repro.sim.backend import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
@@ -116,22 +114,6 @@ class TestFastCoreFallback:
     def test_plain_run_takes_the_fast_loop(self):
         core = FastCore(None, None)
         assert not core._needs_reference()
-
-    @pytest.mark.parametrize(
-        "config,kernel",
-        [
-            ("BC", True),
-            ("BCC", True),
-            ("HAC", True),
-            ("BCP", True),
-            ("CPP", True),
-            ("BSP", False),
-            ("BVC", False),
-        ],
-    )
-    def test_only_word_op_l1s_reach_the_kernel(self, config, kernel):
-        hierarchy = build_hierarchy(config, MainMemory(latency=100))
-        assert _has_word_ops(hierarchy.l1) is kernel
 
     def test_warm_predictor_forces_reference_loop(self):
         core = FastCore(None, None)

@@ -16,6 +16,11 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(cache_config="LRU9000")
 
+    @pytest.mark.parametrize("name", ["BSP", "BVC"])
+    def test_only_the_paper_configs_are_accepted(self, name):
+        with pytest.raises(ConfigurationError):
+            SimConfig(cache_config=name)
+
     def test_memory_latency_default(self):
         assert SimConfig().memory_latency == MEMORY_LATENCY == 100
 

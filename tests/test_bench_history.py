@@ -1,4 +1,4 @@
-"""Bench baseline history: JSONL recording and downward-trend warnings."""
+"""Bench baseline: JSONL history, trend warnings, reference-speed rates."""
 
 import importlib.util
 import json
@@ -13,13 +13,13 @@ _spec.loader.exec_module(bench)
 
 
 def _cell(rate: int, cycles: int = 100) -> dict:
-    return {"insn_per_sec": rate, "cycles": cycles}
+    return {"insn_per_sec": rate, "slowdown": 1.0, "cycles": cycles}
 
 
 def _measured(ref_bc: int, fast_bc: int) -> dict:
-    """A minimal schema-2 grid (one workload, one config per backend)."""
+    """A minimal current-schema grid (one workload, one config per backend)."""
     return {
-        "schema": 2,
+        "schema": bench.SCHEMA_VERSION,
         "seed": 1,
         "reps": 1,
         "workloads": {"spec95.130.li": {"scale": 0.3, "instructions": 1000}},
@@ -40,9 +40,10 @@ def _v1_entry(bc: int, cpp: int) -> dict:
     }
 
 
-def _v2_entry(backend: str, bc: int) -> dict:
+def _row(backend: str, bc: int, schema: int = bench.SCHEMA_VERSION) -> dict:
+    """One history row (one workload, BC only)."""
     return {
-        "schema": 2,
+        "schema": schema,
         "backend": backend,
         "workloads": {
             "spec95.130.li": {"scale": 0.3, "configs": {"BC": _cell(bc)}}
@@ -73,28 +74,23 @@ class TestHistoryFile:
             "not json\n"
             + json.dumps({"unrelated": True})
             + "\n"
-            + json.dumps(_v2_entry("fast", 100))
+            + json.dumps(_row("fast", 100))
             + "\n"
         )
         loaded = bench.load_history(path)
         assert len(loaded) == 1
 
-    def test_v1_rows_still_load(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        path.write_text(json.dumps(_v1_entry(100, 200)) + "\n")
-        assert len(bench.load_history(path)) == 1
-
 
 class TestTrendWarnings:
     def test_short_history_never_warns(self):
-        history = [_v2_entry("fast", 100), _v2_entry("fast", 90)]
+        history = [_row("fast", 100), _row("fast", 90)]
         assert bench.trend_warnings(history) == []
 
     def test_three_strict_drops_warn_per_cell(self):
         history = [
-            _v2_entry("fast", 100),
-            _v2_entry("fast", 90),
-            _v2_entry("fast", 80),
+            _row("fast", 100),
+            _row("fast", 90),
+            _row("fast", 80),
         ]
         warnings = bench.trend_warnings(history)
         assert len(warnings) == 1
@@ -104,46 +100,42 @@ class TestTrendWarnings:
     def test_backends_tracked_independently(self):
         # fast falls three times; reference is flat — only fast warns.
         history = [
-            _v2_entry("fast", 100),
-            _v2_entry("reference", 50),
-            _v2_entry("fast", 90),
-            _v2_entry("reference", 50),
-            _v2_entry("fast", 80),
-            _v2_entry("reference", 50),
+            _row("fast", 100),
+            _row("reference", 50),
+            _row("fast", 90),
+            _row("reference", 50),
+            _row("fast", 80),
+            _row("reference", 50),
         ]
         warnings = bench.trend_warnings(history)
         assert len(warnings) == 1 and warnings[0].startswith("fast/")
 
     def test_flat_or_recovering_series_does_not_warn(self):
-        flat = [_v2_entry("fast", 100)] * 3
+        flat = [_row("fast", 100)] * 3
         recovering = [
-            _v2_entry("fast", 100),
-            _v2_entry("fast", 80),
-            _v2_entry("fast", 90),
+            _row("fast", 100),
+            _row("fast", 80),
+            _row("fast", 90),
         ]
         assert bench.trend_warnings(flat) == []
         assert bench.trend_warnings(recovering) == []
 
     def test_only_last_window_considered(self):
         history = [
-            _v2_entry("fast", 50),  # old low point is irrelevant
-            _v2_entry("fast", 100),
-            _v2_entry("fast", 90),
-            _v2_entry("fast", 80),
+            _row("fast", 50),  # old low point is irrelevant
+            _row("fast", 100),
+            _row("fast", 90),
+            _row("fast", 80),
         ]
         warnings = bench.trend_warnings(history)
         assert len(warnings) == 1 and "100" in warnings[0]
 
-    def test_v1_rows_fold_into_reference_series(self):
-        history = [
-            _v1_entry(100, 200),
-            _v1_entry(90, 200),
-            _v2_entry("reference", 80),
-        ]
-        # v1 rows count toward the reference/spec95.130.li series, so a
-        # fall that spans the schema change still warns.
-        warnings = bench.trend_warnings(history)
-        assert any(w.startswith("reference/spec95.130.li/BC:") for w in warnings)
+    def test_older_schema_rows_do_not_count(self):
+        # Schema-2 rows hold raw insn/s, recorded at whatever speed the
+        # host had then; a fall across the schema change is no trend.
+        history = [_row("fast", 100, schema=2), _row("fast", 90, schema=2)]
+        history.append(_row("fast", 80))
+        assert bench.trend_warnings(history) == []
 
 
 class TestCheck:
@@ -169,6 +161,69 @@ class TestCheck:
     def test_v1_baseline_demands_rerecord(self):
         problems = bench.check(_measured(100, 900), _v1_entry(1, 2), 0.5)
         assert problems and "re-record" in problems[0]
+
+    def test_raw_rate_baseline_demands_rerecord(self):
+        baseline = _measured(100, 900)
+        baseline["schema"] = 2
+        problems = bench.check(_measured(100, 900), baseline, 0.5)
+        assert problems == ["baseline schema 2 != 3; re-record"]
+
+
+class _Clock:
+    """Stands in for the ``time`` module: each reading is 0.5 s later."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 0.5
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+class _Host:
+    """A host running at a fixed slowdown against the reference speed."""
+
+    PAD_S = 1.0
+
+    def __init__(self, slowdown: float) -> None:
+        self.factor = slowdown
+
+    def slowdown(self, t0: float, t1: float) -> float:
+        return self.factor
+
+
+class TestMeasure:
+    def _grid(self, monkeypatch, host) -> dict:
+        class _Result:
+            cycles = 1234
+
+        class _Machine:
+            def __init__(self, config) -> None:
+                pass
+
+            def run(self, program):
+                return _Result()
+
+        class _Program:
+            trace = [None] * 1000
+
+        monkeypatch.setattr(bench, "time", _Clock())
+        monkeypatch.setattr(bench, "Machine", _Machine)
+        monkeypatch.setattr(bench, "generate", lambda *a, **k: _Program())
+        monkeypatch.setattr(bench, "WORKLOADS", {"spec95.130.li": 0.3})
+        monkeypatch.setattr(bench, "CONFIGS", ("BC",))
+        measured = bench.measure(2, ("fast",), host)
+        return measured["backends"]["fast"]["spec95.130.li"]["BC"]
+
+    def test_slow_host_records_the_reference_speed_rate(self, monkeypatch):
+        # Every repetition reads 0.5 s on the clock: 2,000 insn/s raw.
+        cell = self._grid(monkeypatch, _Host(1.0))
+        assert cell == {"insn_per_sec": 2000, "slowdown": 1.0, "cycles": 1234}
+        cell = self._grid(monkeypatch, _Host(2.0))
+        assert cell == {"insn_per_sec": 4000, "slowdown": 2.0, "cycles": 1234}
 
 
 class TestCLI:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Measure, record, and gate full-machine simulator throughput.
 
-Schema 2 measures a ``backends x workloads x configs`` grid — both
+Schema 3 measures a ``backends x workloads x configs`` grid — both
 simulation backends (``reference`` and ``fast``) over the cache-bound
 SPEC cell and a pointer-chasing Olden cell, so backend wins can't be
 tuned to one access pattern — and compares against the committed
@@ -17,20 +17,27 @@ baseline ``BENCH_micro.json``:
   contract — any drift is a correctness bug, not noise), and each
   backend's throughput must stay within ``--tolerance`` of its recorded
   insn/s (a band, since shared CI runners are noisy). Additionally
-  *warns* (without failing) when a cell's last three recorded runs trend
-  monotonically downward — slow leaks that never trip the tolerance band
-  in one step still surface;
+  *warns* (without failing) when a cell's last three recorded runs of
+  the current schema trend monotonically downward — slow leaks that
+  never trip the tolerance band in one step still surface;
 * ``--profile N`` — additionally run one CPP pass per backend under
   cProfile and print the N hottest functions;
 * no flags       — measure and print.
 
-Throughput is best-of-``--reps``: the maximum over repetitions estimates
-the machine's true speed with the least scheduling noise.
+Throughput is insn/s at the benchmark's reference host speed, best of
+``--reps``. The host is shared and its speed drifts between phases, so
+a probe thread (``perfbench/common.py``'s ``HostSpeed``) samples it
+throughout, and each repetition's raw rate is multiplied by the host's
+slowdown around it. The maximum over repetitions then estimates the
+simulator's speed with the least scheduling noise. Each cell also keeps
+the ``slowdown`` of the repetition it reports (raw insn/s = ``insn_per_sec
+/ slowdown``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -47,7 +54,8 @@ from repro.workloads.registry import generate  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_micro.json"
 HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
-SCHEMA_VERSION = 2
+#: 3: insn/s at the reference host speed; 2 and 1 stored raw insn/s.
+SCHEMA_VERSION = 3
 
 SEED = 1
 #: workload name -> input scale. spec95.130.li is the historical cell;
@@ -58,8 +66,35 @@ CONFIGS = ("BC", "BCP", "CPP")
 BACKENDS = BACKEND_NAMES  # ("reference", "fast")
 
 
-def measure(reps: int, backends: tuple[str, ...] = BACKENDS) -> dict:
-    """Best-of-*reps* insn/s and cycle counts per backend/workload/config."""
+def _load_perfbench_common():
+    """Import ``perfbench/common.py`` under a private module name.
+
+    Its dataclasses resolve their module through ``sys.modules``, so the
+    module is registered there before it executes.
+    """
+    name = "_perfbench_common"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            name, REPO_ROOT / "perfbench" / "common.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+HostSpeed = _load_perfbench_common().HostSpeed
+
+
+def measure(reps: int, backends: tuple[str, ...], host) -> dict:
+    """Best-of-*reps* insn/s at reference speed and cycle counts per
+    backend/workload/config.
+
+    *host* is a started :class:`HostSpeed`. Each repetition is timed on
+    ``time.monotonic()``, the clock its samples carry; the slowdowns are
+    read once the last repetition's window has its trailing samples.
+    """
     programs = {
         name: generate(name, seed=SEED, scale=scale)
         for name, scale in WORKLOADS.items()
@@ -74,34 +109,38 @@ def measure(reps: int, backends: tuple[str, ...] = BACKENDS) -> dict:
         },
         "backends": {},
     }
+    timed: dict = {}  # (backend, workload, config) -> ([(t0, t1)], cycles)
     for backend in backends:
-        cells: dict = {}
         for name, program in programs.items():
-            n = len(program.trace)
-            per_config = {}
             for config in CONFIGS:
-                best = 0.0
-                cycles = None
+                windows = []
                 for _ in range(reps):
                     machine = Machine(
                         SimConfig(cache_config=config, backend=backend)
                     )
-                    t0 = time.perf_counter()
+                    t0 = time.monotonic()
                     result = machine.run(program)
-                    elapsed = time.perf_counter() - t0
-                    best = max(best, n / elapsed)
-                    cycles = result.cycles
-                per_config[config] = {
-                    "insn_per_sec": round(best),
-                    "cycles": cycles,
-                }
-            cells[name] = per_config
-        out["backends"][backend] = cells
+                    windows.append((t0, time.monotonic()))
+                timed[backend, name, config] = (windows, result.cycles)
+    time.sleep(host.PAD_S)
+    for (backend, name, config), (windows, cycles) in timed.items():
+        n = out["workloads"][name]["instructions"]
+        rates = []
+        for t0, t1 in windows:
+            slowdown = host.slowdown(t0, t1)
+            rates.append((n / (t1 - t0) * slowdown, slowdown))
+        rate, slowdown = max(rates)
+        cells = out["backends"].setdefault(backend, {}).setdefault(name, {})
+        cells[config] = {
+            "insn_per_sec": round(rate),
+            "slowdown": round(slowdown, 3),
+            "cycles": cycles,
+        }
     return out
 
 
 def iter_cells(measured: dict):
-    """Yield ``(backend, workload, config, cell)`` over a schema-2 grid."""
+    """Yield ``(backend, workload, config, cell)`` over a measured grid."""
     for backend, per_workload in measured.get("backends", {}).items():
         for workload, per_config in per_workload.items():
             for config, cell in per_config.items():
@@ -109,7 +148,10 @@ def iter_cells(measured: dict):
 
 
 def render(measured: dict) -> str:
-    lines = [f"seed={SEED}, best of {measured['reps']}"]
+    lines = [
+        f"seed={SEED}, best of {measured['reps']}, insn/s at reference "
+        "host speed (xN: the host's slowdown then)"
+    ]
     for workload, meta in measured["workloads"].items():
         lines.append(
             f"{workload} scale={meta['scale']} ({meta['instructions']} insns)"
@@ -120,6 +162,7 @@ def render(measured: dict) -> str:
                 lines.append(
                     f"  {backend:>9}/{config:<4}: "
                     f"{cell['insn_per_sec']:>9,} insn/s"
+                    f" x{cell['slowdown']:.2f}"
                     f"  ({cell['cycles']:,} cycles)"
                 )
     return "\n".join(lines)
@@ -149,7 +192,8 @@ def check(measured: dict, baseline: dict, tolerance: float) -> list[str]:
         floor = base["insn_per_sec"] * (1.0 - tolerance)
         if cur["insn_per_sec"] < floor:
             problems.append(
-                f"{label}: throughput {cur['insn_per_sec']:,} insn/s is below "
+                f"{label}: throughput {cur['insn_per_sec']:,} insn/s at "
+                "reference speed is below "
                 f"{floor:,.0f} (baseline {base['insn_per_sec']:,} "
                 f"- {tolerance:.0%} tolerance)"
             )
@@ -184,7 +228,7 @@ def load_history(path: Path = HISTORY_PATH) -> list[dict]:
             entry = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(entry, dict) and ("configs" in entry or "workloads" in entry):
+        if isinstance(entry, dict) and "workloads" in entry:
             entries.append(entry)
     return entries
 
@@ -223,22 +267,19 @@ def append_history(measured: dict, path: Path = HISTORY_PATH) -> list[dict]:
 
 
 def _history_series(history: list[dict]) -> dict[tuple, list[int]]:
-    """Flatten history rows into ``(backend, workload, config) -> series``.
+    """Flatten current-schema history rows into
+    ``(backend, workload, config) -> series``.
 
-    Handles both schemas: v1 rows (no backend, one implicit workload)
-    map to ``("reference", "spec95.130.li", config)``.
+    Rows of older schemas are skipped: they hold raw insn/s, which carry
+    the host's speed at the time they were recorded.
     """
     series: dict[tuple, list[int]] = {}
     for entry in history:
-        if "workloads" in entry:
-            backend = entry.get("backend", "reference")
-            for workload, per in entry["workloads"].items():
-                for config, cell in per.get("configs", {}).items():
-                    key = (backend, workload, config)
-                    series.setdefault(key, []).append(cell["insn_per_sec"])
-        else:  # schema 1
-            for config, cell in entry.get("configs", {}).items():
-                key = ("reference", "spec95.130.li", config)
+        if entry.get("schema") != SCHEMA_VERSION:
+            continue
+        for workload, per in entry["workloads"].items():
+            for config, cell in per["configs"].items():
+                key = (entry["backend"], workload, config)
                 series.setdefault(key, []).append(cell["insn_per_sec"])
     return series
 
@@ -343,7 +384,11 @@ def main(argv: list[str] | None = None) -> int:
             "--record needs the full backend grid; drop --backends"
         )
 
-    measured = measure(args.reps, backends)
+    host = HostSpeed().start()
+    try:
+        measured = measure(args.reps, backends, host)
+    finally:
+        host.stop()
     print(render(measured))
 
     rc = 0

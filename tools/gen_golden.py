@@ -25,13 +25,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.sim.config import SimConfig  # noqa: E402
+from repro.sim.config import CONFIG_NAMES, SimConfig  # noqa: E402
 from repro.sim.results_io import result_to_full_dict  # noqa: E402
 from repro.sim.runner import run_workload  # noqa: E402
 from repro.utils.atomic import atomic_write_text  # noqa: E402
 
-#: Every hierarchy builder, including the non-paper extras.
-CONFIGS = ("BC", "BCC", "HAC", "BCP", "CPP", "BSP", "BVC")
+#: Every hierarchy builder: the paper's five configurations.
+CONFIGS = CONFIG_NAMES
 #: Small but structurally diverse workloads (pointer chasing, list
 #: interpretation, tree allocation) — enough to exercise every cache
 #: path without making the fixture slow to regenerate.
